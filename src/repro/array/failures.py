@@ -43,9 +43,6 @@ class FailureEvent:
     device_failures: list[DeviceFailure] = field(default_factory=list)
     sector_failures: list[SectorFailure] = field(default_factory=list)
 
-    def is_empty(self) -> bool:
-        return not self.device_failures and not self.sector_failures
-
 
 class BurstLengthDistribution:
     """Discrete burst-length distribution: P(L=1)=b1, Pareto tail beyond.

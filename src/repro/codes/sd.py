@@ -273,14 +273,6 @@ class SDCode(StripeCode):
                 return selected
         return None
 
-    @staticmethod
-    def _symbol_size(stripe: Grid) -> int:
-        for row in stripe:
-            for cell in row:
-                if cell is not None:
-                    return len(cell)
-        raise DecodingFailureError("stripe contains no surviving symbols")
-
     # ------------------------------------------------------------------ #
     # SD-property verification and construction search
     # ------------------------------------------------------------------ #

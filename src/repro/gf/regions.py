@@ -151,10 +151,6 @@ class RegionOps:
         plane = np.stack([np.asarray(s) for s in symbols])
         return plane.astype(self.field.element_dtype, copy=False)
 
-    def zeros_plane(self, num_symbols: int, size: int) -> np.ndarray:
-        """Return an all-zero ``(num_symbols, size)`` plane."""
-        return np.zeros((num_symbols, size), dtype=self.field.element_dtype)
-
     # ------------------------------------------------------------------ #
     # The basic cost unit: Mult_XOR
     # ------------------------------------------------------------------ #

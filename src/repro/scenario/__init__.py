@@ -14,6 +14,10 @@ The configuration layer above the simulator:
   deterministic per-cell seed derivation, multiprocessing fan-out and
   content-addressed result caching
   (``python -m repro.scenario.sweep sweep.toml --cache-dir ...``).
+* :mod:`repro.scenario.flags` -- the one flag table: each CLI flag of
+  ``repro.sim.cli``, ``repro.store.cli`` and ``repro.store.crosscheck``
+  bound to a dotted spec path, applied through
+  :meth:`ScenarioSpec.with_overrides` like a sweep grid key.
 
 ``repro.sim.cli`` is a thin adapter over this package (flags -> spec ->
 ``run_scenario``); ``--dump-spec`` prints the spec any flag combination

@@ -330,6 +330,14 @@ def _section_from_dict(name: str, data: Mapping[str, Any]):
     return cls(**kwargs)
 
 
+def check_dotted(dotted: str) -> None:
+    """Reject an override key that is not a dotted ``section.key`` path."""
+    if "." not in dotted:
+        raise ScenarioSpecError(
+            f"override {dotted!r} must be a dotted spec path like "
+            "'sector.p_bit'")
+
+
 # --------------------------------------------------------------------------- #
 # The spec
 # --------------------------------------------------------------------------- #
@@ -517,6 +525,26 @@ class ScenarioSpec:
             updates[name] = value
         return dataclasses.replace(self, **updates)
 
+    def with_overrides(self, overrides: Mapping[str, Any]) -> "ScenarioSpec":
+        """A copy with fields replaced by dotted path, rebuilt through
+        the strict :meth:`from_dict`::
+
+            spec.with_overrides({"sector.p_bit": 1e-10,
+                                 "estimator.seed": 7})
+
+        The one dotted-path override: ``[sweep.grid]`` keys and every
+        CLI flag (:mod:`repro.scenario.flags`) address fields this way.
+        An override into an absent optional section creates it.
+        """
+        data = self.to_dict()
+        for dotted, value in overrides.items():
+            check_dotted(dotted)
+            section, key = dotted.split(".", 1)
+            if not isinstance(data.get(section), dict):
+                data[section] = {}
+            data[section][key] = value
+        return ScenarioSpec.from_dict(data)
+
     # ------------------------------------------------------------------ #
     # Semantic validation (the flag-interaction footguns)
     # ------------------------------------------------------------------ #
@@ -546,8 +574,17 @@ class ScenarioSpec:
         for key in ("mttf_hours",):
             if getattr(life, key) <= 0:
                 raise ScenarioSpecError(f"[lifetime] {key} must be positive")
-        if self.repair.repair_hours <= 0:
+        rep = self.repair
+        if rep.repair_hours <= 0:
             raise ScenarioSpecError("[repair] repair_hours must be positive")
+        if rep.rebuild_concurrency is not None and rep.rebuild_concurrency < 1:
+            raise ScenarioSpecError(
+                "[repair] rebuild_concurrency must be >= 1 (omit it for "
+                "no cap)")
+        if rep.rebuild_streams is not None and rep.rebuild_streams <= 0:
+            raise ScenarioSpecError(
+                "[repair] rebuild_streams must be positive (omit it for "
+                "no bandwidth sharing)")
         if not (0.0 <= self.sector.p_bit <= 1.0):
             raise ScenarioSpecError("[sector] p_bit must lie in [0, 1]")
 

@@ -68,6 +68,7 @@ from repro.scenario.spec import (
     CODE_VERSION_SALT,
     ScenarioSpec,
     ScenarioSpecError,
+    check_dotted,
     spec_hash,
 )
 
@@ -164,35 +165,16 @@ def load_sweep(path: str | os.PathLike) -> SweepSpec:
             raise ScenarioSpecError(
                 f"{path}: [sweep.grid] {dotted!r} must map to a "
                 "non-empty list of values")
-        _check_dotted(dotted)
+        check_dotted(dotted)
     cells = list(sweep_data.get("cells", []))
     for cell in cells:
         if not isinstance(cell, Mapping):
             raise ScenarioSpecError(
                 f"{path}: [[sweep.cells]] entries must be tables")
         for dotted in cell:
-            _check_dotted(dotted)
+            check_dotted(dotted)
     return SweepSpec(base=base, name=str(name), grid=grid,
                      cells=[dict(c) for c in cells])
-
-
-def _check_dotted(dotted: str) -> None:
-    if "." not in dotted:
-        raise ScenarioSpecError(
-            f"sweep override {dotted!r} must be a dotted spec path like "
-            "'sector.p_bit'")
-
-
-def _apply_override(data: dict, dotted: str, value: Any) -> None:
-    parts = dotted.split(".")
-    node = data
-    for part in parts[:-1]:
-        child = node.get(part)
-        if not isinstance(child, dict):
-            child = {}
-            node[part] = child
-        node = child
-    node[parts[-1]] = value
 
 
 def expand_cells(sweep: SweepSpec) -> list[tuple[ScenarioSpec, dict]]:
@@ -215,16 +197,11 @@ def expand_cells(sweep: SweepSpec) -> list[tuple[ScenarioSpec, dict]]:
         sweep.base.estimator.seed).spawn(len(override_sets))
     out = []
     for index, overrides in enumerate(override_sets):
-        data = sweep.base.to_dict()
-        for dotted, value in overrides.items():
-            _apply_override(data, dotted, value)
-        if "estimator.seed" not in overrides:
-            # Derived, deterministic, independent per cell.
-            _apply_override(
-                data, "estimator.seed",
-                int(children[index].generate_state(1, np.uint32)[0]))
+        # Derived, deterministic, independent per cell (unless pinned).
+        seed = int(children[index].generate_state(1, np.uint32)[0])
         try:
-            spec = ScenarioSpec.from_dict(data)
+            spec = sweep.base.with_overrides(
+                {"estimator.seed": seed, **overrides})
         except ScenarioSpecError as exc:
             raise ScenarioSpecError(
                 f"sweep cell {index} ({overrides!r}): {exc}") from exc

@@ -7,7 +7,8 @@ Run scenarios straight from the registry's textual code specs::
     python -m repro.sim.cli --mode events --trials 20 \\
         --scrub-interval 168 --rebuild-streams 2 --horizon 87600
 
-The CLI is a thin adapter over :mod:`repro.scenario`: every flag
+The CLI is a thin adapter over :mod:`repro.scenario`: every flag is a
+row of the flag table in :mod:`repro.scenario.flags`, every flag
 combination builds one :class:`~repro.scenario.ScenarioSpec`, the spec
 runs through :func:`~repro.scenario.run_scenario`, and this module only
 renders the returned outcome.  ``--dump-spec`` prints the effective
@@ -52,23 +53,16 @@ from typing import Sequence
 
 from repro.bench.reporting import print_table
 from repro.codes.registry import available_codes
-from repro.scenario.runner import ScenarioOutcome, run_scenario
-from repro.scenario.spec import (
-    CodeSection,
-    DomainsSection,
-    EstimatorSection,
-    FleetSection,
-    LifetimeSection,
-    RepairSection,
-    ScenarioSpec,
-    ScenarioSpecError,
-    SectorSection,
-    TraceSection,
+from repro.scenario.flags import (
+    FLAGS,
+    add_flags,
+    flag_overrides,
+    passed_flags,
 )
+from repro.scenario.runner import ScenarioOutcome, run_scenario
+from repro.scenario.spec import ScenarioSpec, ScenarioSpecError
 from repro.sim.montecarlo import MAX_ROUNDS
 from repro.sim.rare import projected_direct_rounds
-
-DEFAULT_CODE_SPEC = "rs(n=8,r=16,m=1)"
 
 _EPILOG = """\
 code specs:
@@ -106,26 +100,11 @@ failure traces:
   chapter index: docs/index.md.
 """
 
-#: argparse dests of flags that only the event engine reads, mapped to
-#: their user-facing spelling (for the silent-no-op rejection).
-_EVENTS_ONLY_FLAGS = {
-    "stripes": "--stripes",
-    "scrub_interval": "--scrub-interval",
-    "rebuild_concurrency": "--rebuild-concurrency",
-    "rebuild_streams": "--rebuild-streams",
-    "rebuild_rate_mbs": "--rebuild-rate-mbs",
-    "write_rate": "--write-rate",
-}
 
-#: argparse dests of the rare-event tuning flags (no effect under the
-#: event engine).
-_RARE_TUNING_FLAGS = {
-    "rare_target_rel_se": "--rare-target-rel-se",
-    "rare_max_cycles": "--rare-max-cycles",
-}
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults: bool = True) -> argparse.ArgumentParser:
+    """The simulator's parser: ``--spec``/``--dump-spec`` plus every
+    non-store row of the flag table.  ``defaults=False`` leaves the
+    spec flags that were not passed out of the namespace."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.sim.cli",
         description="Monte Carlo reliability simulation of erasure-coded "
@@ -139,251 +118,79 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--dump-spec", action="store_true",
                         help="print the effective scenario spec as TOML "
                              "and exit without running")
-    parser.add_argument("--code", default=DEFAULT_CODE_SPEC,
-                        help="code spec, e.g. 'stair(n=8,r=16,m=1,e=(1,2))' "
-                             f"(default: {DEFAULT_CODE_SPEC})")
-    parser.add_argument("--trials", type=int, default=1000,
-                        help="independent cluster lifetimes to simulate")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="PRNG seed (runs are reproducible)")
-    parser.add_argument("--arrays", type=int, default=1,
-                        help="arrays in the cluster")
-    parser.add_argument("--stripes", type=int, default=1024,
-                        help="stripes per array (events mode)")
-    parser.add_argument("--p-bit", type=float, default=1e-12,
-                        help="unrecoverable bit-error probability")
-    parser.add_argument("--sector-model", choices=("independent",
-                                                   "correlated"),
-                        default="independent",
-                        help="sector-failure model for P_str")
-    parser.add_argument("--mttf", type=float, default=500_000.0,
-                        help="device mean time to failure, hours (1/lambda)")
-    parser.add_argument("--repair-hours", type=float, default=17.8,
-                        help="mean rebuild time, hours (1/mu)")
-    parser.add_argument("--weibull-shape", type=float, default=None,
-                        help="use Weibull lifetimes with this shape "
-                             "(mean stays at --mttf)")
-    traces = parser.add_argument_group(
-        "failure traces",
-        "drive empirical lifetimes from a drive-stats-style CSV "
-        "(docs/traces.md); default is the parametric --mttf model")
-    traces.add_argument("--trace", default=None, metavar="CSV",
-                        help="daily-snapshot failure trace; fits an "
-                             "empirical lifetime model (replaces --mttf "
-                             "/ --weibull-shape)")
-    traces.add_argument("--trace-model", choices=("piecewise", "km"),
-                        default=None,
-                        help="empirical model fitted from --trace: "
-                             "piecewise-exponential hazard (works in "
-                             "every mode; the default) or Kaplan-Meier "
-                             "resampling (direct simulation only)")
-    traces.add_argument("--trace-bins", type=int, default=None,
-                        help="hazard intervals for the piecewise fit "
-                             "(default: 8)")
-    traces.add_argument("--trace-replay", action="store_true",
-                        help="events mode: replay the observed failure "
-                             "timestamps verbatim instead of fitting "
-                             "a model")
-    parser.add_argument("--horizon", type=float, default=None,
-                        help="censor trials at this many hours")
-    parser.add_argument("--mode", choices=("montecarlo", "events"),
-                        default="montecarlo",
-                        help="vectorized batch runner or full event engine")
-    parser.add_argument("--rare-event", action="store_true",
-                        help="force the importance-sampled regenerative "
-                             "estimator (montecarlo mode; selected "
-                             "automatically when direct simulation would "
-                             "not converge)")
-    parser.add_argument("--rare-target-rel-se", type=float, default=0.02,
-                        help="stop the rare-event estimator at this "
-                             "relative standard error")
-    parser.add_argument("--rare-max-cycles", type=int, default=4_000_000,
-                        help="cycle budget for the rare-event estimator")
-    parser.add_argument("--scrub-interval", type=float, default=168.0,
-                        help="hours between scrubs (events mode)")
-    parser.add_argument("--rebuild-concurrency", type=int, default=0,
-                        help="hard cap on concurrent rebuilds, 0 = "
-                             "unlimited (events mode)")
-    parser.add_argument("--rebuild-streams", type=float, default=0.0,
-                        help="shared cluster repair bandwidth in units of "
-                             "one device's rebuild rate; concurrent "
-                             "rebuilds divide it evenly, 0 = no sharing "
-                             "(events mode)")
-    parser.add_argument("--rebuild-rate-mbs", type=float, default=None,
-                        help="per-device rebuild rate in MB/s; derives the "
-                             "nominal rebuild time from the device "
-                             "capacity instead of --repair-hours "
-                             "(events mode)")
-    parser.add_argument("--write-rate", type=float, default=0.0,
-                        help="stripe writes per array per hour (events mode)")
-    domains = parser.add_argument_group(
-        "failure domains",
-        "correlated rack/enclosure shocks and batch wear "
-        "(docs/failure-domains.md); all default to independent failures")
-    domains.add_argument("--racks", type=int, default=1,
-                         help="racks the devices are spread across")
-    domains.add_argument("--rack-shock-rate", type=float, default=0.0,
-                         help="Poisson shocks per rack per hour; a shock "
-                              "fails every healthy member device at once")
-    domains.add_argument("--rack-kill-prob", type=float, default=1.0,
-                         help="probability a rack shock kills each member")
-    domains.add_argument("--enclosures-per-rack", type=int, default=1,
-                         help="enclosures (shelves) within each rack")
-    domains.add_argument("--enclosure-shock-rate", type=float, default=0.0,
-                         help="Poisson shocks per enclosure per hour")
-    domains.add_argument("--enclosure-kill-prob", type=float, default=1.0,
-                         help="probability an enclosure shock kills "
-                              "each member")
-    domains.add_argument("--batch-fraction", type=float, default=0.0,
-                         help="fraction of each array's devices from a "
-                              "shared-defect manufacturing batch")
-    domains.add_argument("--batch-accel", type=float, default=1.0,
-                         help="lifetime acceleration of bad-batch devices "
-                              "(an AFT scaling: exponential devices fail "
-                              "at batch-accel * lambda)")
-    domains.add_argument("--placement", choices=("spread", "contiguous"),
-                         default="spread",
-                         help="how arrays map to racks: 'spread' stripes "
-                              "each array across racks, 'contiguous' "
-                              "confines it to one")
+    groups = {
+        "traces": parser.add_argument_group(
+            "failure traces",
+            "drive empirical lifetimes from a drive-stats-style CSV "
+            "(docs/traces.md); default is the parametric --mttf model"),
+        "domains": parser.add_argument_group(
+            "failure domains",
+            "correlated rack/enclosure shocks and batch wear "
+            "(docs/failure-domains.md); all default to independent "
+            "failures"),
+    }
+    add_flags(parser, [row.flag for row in FLAGS
+                       if not row.path.startswith("store.")],
+              groups=groups, defaults=defaults)
     return parser
 
 
 # --------------------------------------------------------------------------- #
-# Flags <-> spec
+# Flags -> spec
 # --------------------------------------------------------------------------- #
-def spec_from_args(args: argparse.Namespace,
-                   base: ScenarioSpec | None = None) -> ScenarioSpec:
-    """The scenario spec one parsed flag set describes.
+def spec_from_args(args: argparse.Namespace) -> ScenarioSpec:
+    """The scenario spec one parsed flag set describes: the ``--spec``
+    file (or the default spec) with every spec flag in ``args`` applied.
 
-    ``base`` (the spec loaded via ``--spec``, if any) supplies the
-    fields no flag covers -- currently the correlated sector model's
-    burst parameters (b1, alpha) and the [store] section (carried
-    through so ``run_scenario`` can redirect store workloads to
-    ``repro.store`` instead of silently ignoring them).
+    ``build_parser().parse_args`` fills in every default, so every flag
+    applies; :func:`main` parses with ``defaults=False``, so only the
+    flags on the command line override the loaded spec.
     """
-    mode = "rare" if args.rare_event else args.mode
-    trace = None
-    if args.trace is not None:
-        model = ("replay" if args.trace_replay
-                 else (args.trace_model if args.trace_model is not None
-                       else "piecewise"))
-        trace = TraceSection(path=args.trace, model=model,
-                             bins=args.trace_bins)
-    sector_extras = {}
-    if base is not None:
-        sector_extras = {"b1": base.sector.b1, "alpha": base.sector.alpha}
-    return ScenarioSpec(
-        code=CodeSection(spec=args.code),
-        fleet=FleetSection(
-            arrays=args.arrays,
-            stripes_per_array=args.stripes,
-            scrub_interval_hours=max(args.scrub_interval, 0.0),
-            write_rate_per_hour=args.write_rate),
-        lifetime=LifetimeSection(
-            kind=("weibull" if args.weibull_shape is not None
-                  else "exponential"),
-            mttf_hours=args.mttf,
-            weibull_shape=args.weibull_shape),
-        trace=trace,
-        domains=DomainsSection(
-            racks=args.racks,
-            rack_shock_rate_per_hour=args.rack_shock_rate,
-            rack_kill_probability=args.rack_kill_prob,
-            enclosures_per_rack=args.enclosures_per_rack,
-            enclosure_shock_rate_per_hour=args.enclosure_shock_rate,
-            enclosure_kill_probability=args.enclosure_kill_prob,
-            batch_fraction=args.batch_fraction,
-            batch_accel=args.batch_accel,
-            placement=args.placement),
-        repair=RepairSection(
-            repair_hours=args.repair_hours,
-            rebuild_rate_mbs=args.rebuild_rate_mbs,
-            rebuild_concurrency=(args.rebuild_concurrency
-                                 if args.rebuild_concurrency > 0 else None),
-            rebuild_streams=(args.rebuild_streams
-                             if args.rebuild_streams > 0 else None)),
-        sector=SectorSection(model=args.sector_model, p_bit=args.p_bit,
-                             **sector_extras),
-        estimator=EstimatorSection(
-            mode=mode,
-            trials=args.trials,
-            seed=args.seed,
-            horizon_hours=args.horizon,
-            rare_target_rel_se=args.rare_target_rel_se,
-            rare_max_cycles=args.rare_max_cycles),
-        store=base.store if base is not None else None,
-    )
+    base = (ScenarioSpec.load(args.spec) if args.spec is not None
+            else ScenarioSpec())
+    overrides = flag_overrides(args)
+    trace_keys = {path for path in overrides if path.startswith("trace.")}
+    if base.trace is None and trace_keys and "trace.path" not in trace_keys:
+        if (trace_keys == {"trace.model"}
+                and overrides["trace.model"] == "replay"):
+            raise ScenarioSpecError(
+                "--trace-replay needs --trace (the CSV whose failure "
+                "timestamps should be replayed)")
+        raise ScenarioSpecError(
+            "--trace-model/--trace-bins configure the model fitted from a "
+            "failure trace; add --trace CSV")
+    return base.with_overrides(overrides)
 
 
-def namespace_from_spec(spec: ScenarioSpec) -> argparse.Namespace:
-    """Pre-populate an argparse namespace from a loaded spec.
-
-    Re-parsing argv over this namespace lets explicitly-passed flags
-    override the spec while everything else keeps the loaded values
-    (argparse only fills defaults for attributes the namespace lacks).
-    """
-    ns = argparse.Namespace()
-    ns.code = spec.code.spec
-    ns.trials = spec.estimator.trials
-    ns.seed = spec.estimator.seed
-    ns.arrays = spec.fleet.arrays
-    ns.stripes = spec.fleet.stripes_per_array
-    ns.p_bit = spec.sector.p_bit
-    ns.sector_model = spec.sector.model
-    ns.mttf = spec.lifetime.mttf_hours
-    ns.repair_hours = spec.repair.repair_hours
-    ns.weibull_shape = spec.lifetime.weibull_shape
-    if spec.trace is not None:
-        ns.trace = spec.trace.path
-        ns.trace_replay = spec.trace.model == "replay"
-        ns.trace_model = (spec.trace.model
-                          if spec.trace.model in ("piecewise", "km")
-                          else None)
-        ns.trace_bins = spec.trace.bins
-    else:
-        ns.trace = None
-        ns.trace_replay = False
-        ns.trace_model = None
-        ns.trace_bins = None
-    ns.horizon = spec.estimator.horizon_hours
-    if spec.estimator.mode == "rare":
-        ns.mode, ns.rare_event = "montecarlo", True
-    else:
-        # "analytic" rides through the namespace unvalidated (argparse
-        # only checks choices on explicit flags) and is rejected later.
-        ns.mode, ns.rare_event = spec.estimator.mode, False
-    ns.rare_target_rel_se = spec.estimator.rare_target_rel_se
-    ns.rare_max_cycles = spec.estimator.rare_max_cycles
-    ns.scrub_interval = spec.fleet.scrub_interval_hours
-    ns.rebuild_concurrency = spec.repair.rebuild_concurrency or 0
-    ns.rebuild_streams = spec.repair.rebuild_streams or 0.0
-    ns.rebuild_rate_mbs = spec.repair.rebuild_rate_mbs
-    ns.write_rate = spec.fleet.write_rate_per_hour
-    ns.racks = spec.domains.racks
-    ns.rack_shock_rate = spec.domains.rack_shock_rate_per_hour
-    ns.rack_kill_prob = spec.domains.rack_kill_probability
-    ns.enclosures_per_rack = spec.domains.enclosures_per_rack
-    ns.enclosure_shock_rate = spec.domains.enclosure_shock_rate_per_hour
-    ns.enclosure_kill_prob = spec.domains.enclosure_kill_probability
-    ns.batch_fraction = spec.domains.batch_fraction
-    ns.batch_accel = spec.domains.batch_accel
-    ns.placement = spec.domains.placement
-    return ns
-
-
-def _explicit_flag_dests(argv: Sequence[str] | None) -> set[str]:
-    """Dests of the flags actually present on the command line.
-
-    A second parse with every default suppressed leaves only
-    explicitly-passed attributes in the namespace -- the basis for
-    value-independent footgun checks (a value merely *loaded* from
-    --spec is not an explicit flag).
-    """
-    probe = build_parser()
-    for action in probe._actions:
-        action.default = argparse.SUPPRESS
-    return set(vars(probe.parse_args(argv)))
+def _reject_flag_misuse(args: argparse.Namespace, spec: ScenarioSpec) -> None:
+    """CLI checks whose messages name flags.  They read the effective
+    spec, so they hold whether a value came from a flag or from --spec."""
+    mode, trace = spec.estimator.mode, spec.trace
+    if spec.estimator.trials < 1:
+        raise SystemExit("--trials must be >= 1")
+    if spec.fleet.arrays < 1:
+        raise SystemExit("--arrays must be >= 1")
+    if trace is not None and trace.bins is not None and trace.bins < 1:
+        raise SystemExit("--trace-bins must be >= 1")
+    if trace is not None and trace.model == "replay":
+        if mode != "events":
+            raise SystemExit("--trace-replay plays verbatim trajectories "
+                             "and applies to --mode events only; fit a "
+                             "model with --trace-model for montecarlo mode")
+        if trace.bins is not None or hasattr(args, "trace_model"):
+            raise SystemExit("error: --trace-replay plays the observed "
+                             "timestamps verbatim and fits no model; drop "
+                             "--trace-model / --trace-bins")
+    stray = passed_flags(args, "events") if mode != "events" else []
+    if stray:
+        raise SystemExit(
+            f"{'/'.join(stray)} configure the event engine and have no "
+            f"effect in {mode} mode; add --mode events or drop the flag")
+    stray = passed_flags(args, "rare") if mode == "events" else []
+    if stray:
+        raise SystemExit(
+            f"{'/'.join(stray)} tune the rare-event estimator and have no "
+            "effect in events mode; drop the flag (or drop --mode events)")
 
 
 # --------------------------------------------------------------------------- #
@@ -527,62 +334,13 @@ _RENDERERS = {
 # Entry point
 # --------------------------------------------------------------------------- #
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    loaded: ScenarioSpec | None = None
-    if args.spec is not None:
-        try:
-            loaded = ScenarioSpec.load(args.spec)
-        except ScenarioSpecError as exc:
-            raise SystemExit(f"error: {exc}") from exc
-        # Re-parse over the spec-derived namespace: only explicitly
-        # passed flags override the loaded values.
-        ns = namespace_from_spec(loaded)
-        ns.spec, ns.dump_spec = args.spec, False
-        args = parser.parse_args(argv, namespace=ns)
-    if args.trials < 1:
-        raise SystemExit("--trials must be >= 1")
-    if args.arrays < 1:
-        raise SystemExit("--arrays must be >= 1")
-    if args.rare_event and args.mode == "events":
+    args = build_parser(defaults=False).parse_args(argv)
+    if (getattr(args, "rare_event", None)
+            and getattr(args, "mode", None) == "events"):
         raise SystemExit("--rare-event applies to montecarlo mode only")
-    if args.trace_bins is not None and args.trace_bins < 1:
-        raise SystemExit("--trace-bins must be >= 1")
-    if args.trace is None and (args.trace_model is not None
-                               or args.trace_bins is not None):
-        raise SystemExit("--trace-model/--trace-bins configure the model "
-                         "fitted from a failure trace; add --trace CSV")
-    if args.trace_replay and args.trace is None:
-        raise SystemExit("--trace-replay needs --trace (the CSV whose "
-                         "failure timestamps should be replayed)")
-    if args.trace_replay and args.mode != "events":
-        raise SystemExit("--trace-replay plays verbatim trajectories and "
-                         "applies to --mode events only; fit a model "
-                         "with --trace-model for montecarlo mode")
-    if args.trace_replay and (args.trace_model is not None
-                              or args.trace_bins is not None):
-        raise SystemExit("error: --trace-replay plays the observed "
-                         "timestamps verbatim and fits no model; drop "
-                         "--trace-model / --trace-bins")
-    explicit = _explicit_flag_dests(argv)
-    mode = "rare" if args.rare_event else args.mode
-    if mode in ("montecarlo", "rare", "analytic"):
-        stray = sorted(explicit & set(_EVENTS_ONLY_FLAGS))
-        if stray:
-            flags = "/".join(_EVENTS_ONLY_FLAGS[dest] for dest in stray)
-            raise SystemExit(
-                f"{flags} configure the event engine and have no effect "
-                f"in {mode} mode; add --mode events or drop the flag")
-    if mode == "events":
-        stray = sorted(explicit & set(_RARE_TUNING_FLAGS))
-        if stray:
-            flags = "/".join(_RARE_TUNING_FLAGS[dest] for dest in stray)
-            raise SystemExit(
-                f"{flags} tune the rare-event estimator and have no "
-                "effect in events mode; drop the flag (or drop "
-                "--mode events)")
     try:
-        spec = spec_from_args(args, base=loaded)
+        spec = spec_from_args(args)
+        _reject_flag_misuse(args, spec)
         spec.validate()
         if args.dump_spec:
             sys.stdout.write(spec.dumps_toml())

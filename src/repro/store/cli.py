@@ -21,6 +21,7 @@ import json
 import sys
 from typing import Sequence
 
+from repro.scenario.flags import add_flags, flag_overrides
 from repro.scenario.spec import ScenarioSpec, ScenarioSpecError
 from repro.store.runner import StoreOutcome, run_store
 
@@ -36,14 +37,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--spec", required=True,
                         help="scenario spec file with a [store] section")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override [estimator] seed")
-    parser.add_argument("--operations", type=int, default=None,
-                        help="override [store] operations")
-    parser.add_argument("--backend", choices=("inprocess", "process"),
-                        default=None,
-                        help="override [store] backend (chunk bytes "
-                             "in-process vs one subprocess per node)")
+    # Defaults suppressed: only the flags passed override the spec.
+    add_flags(parser, ("--seed", "--operations", "--backend"),
+              defaults=False)
     parser.add_argument("--json", action="store_true",
                         help="print the full summary as JSON")
     parser.add_argument("--check-integrity", action="store_true",
@@ -100,12 +96,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise ScenarioSpecError(
                 f"{args.spec}: no [store] section -- this spec is a "
                 "reliability scenario; run it with repro.sim.cli")
-        if args.seed is not None:
-            spec = spec.replace(estimator={"seed": args.seed})
-        if args.operations is not None:
-            spec = spec.replace(store={"operations": args.operations})
-        if args.backend is not None:
-            spec = spec.replace(store={"backend": args.backend})
+        spec = spec.with_overrides(flag_overrides(args))
         outcome = run_store(spec)
     except (ScenarioSpecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

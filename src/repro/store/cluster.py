@@ -251,10 +251,6 @@ class StoreCluster:
         self.nodes[index].restore()
         self._damage.set()
 
-    @property
-    def nodes_up(self) -> int:
-        return sum(node.up for node in self.nodes)
-
     # ------------------------------------------------------------------ #
     # Client operations
     # ------------------------------------------------------------------ #

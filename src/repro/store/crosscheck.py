@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.codes.registry import parse_code_spec
+from repro.scenario.flags import add_flags, flag_overrides
 from repro.scenario.spec import ScenarioSpec, ScenarioSpecError
 from repro.sim.events import ClusterSimulation, EventType, Scenario
 from repro.store.injector import FailureEvent, FailureInjector
@@ -265,11 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--spec", required=True,
                         help="scenario spec with [store] hours_per_op > 0 "
                              "and a crash schedule")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override [estimator] seed")
-    parser.add_argument("--backend", choices=("inprocess", "process"),
-                        default=None,
-                        help="override [store] backend for the live run")
+    # Defaults suppressed: only the flags passed override the spec.
+    add_flags(parser, ("--seed", "--backend"), defaults=False)
     parser.add_argument("--engine-seeds", type=int, default=4,
                         help="engine replays enveloped (min start, max "
                              "end) into the prediction (default 4)")
@@ -303,10 +301,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         spec = ScenarioSpec.load(args.spec)
-        if args.seed is not None:
-            spec = spec.replace(estimator={"seed": args.seed})
-        if args.backend is not None:
-            spec = spec.replace(store={"backend": args.backend})
+        spec = spec.with_overrides(flag_overrides(args))
         result = crosscheck(spec,
                             engine_seeds=range(max(1, args.engine_seeds)))
     except (ScenarioSpecError, ValueError) as exc:

@@ -193,11 +193,6 @@ class LocalTransport:
             _deliver(source, out, deadline)
         return out
 
-    def delete(self, key: str) -> None:
-        doomed = [pair for pair in self._entries if pair[0] == key]
-        for pair in doomed:
-            del self._entries[pair]
-
     def crash(self) -> None:
         self._entries.clear()
 
@@ -293,12 +288,6 @@ class ProcessTransport:
         out = asyncio.get_running_loop().create_future()
         _deliver(response, out, deadline, transform=self._check_data)
         return out
-
-    def delete(self, key: str) -> None:
-        ack = asyncio.get_running_loop().create_future()
-        _deliver(self.client.call(Request(rpc.OP_DELETE, key)), ack, None,
-                 transform=lambda resp: self._check_ok(resp))
-        self._acks.track(ack)
 
     def crash(self) -> None:
         ack = asyncio.get_running_loop().create_future()
@@ -432,28 +421,11 @@ class StoreNode:
     async def get_chunk(self, key: str, stripe: int) -> bytes:
         return await (await self.fetch_chunk(key, stripe))
 
-    async def delete_object(self, key: str) -> int:
-        """Drop every chunk of ``key``; returns how many were held."""
-        await asyncio.sleep(0)
-        self._require_up()
-        doomed = [pair for pair in self._present if pair[0] == key]
-        for pair in doomed:
-            del self._present[pair]
-        self.transport.delete(key)
-        return len(doomed)
-
     # ------------------------------------------------------------------ #
     # Synchronous state inspection / failure injection
     # ------------------------------------------------------------------ #
     def has_chunk(self, key: str, stripe: int) -> bool:
         return self.up and (key, stripe) in self._present
-
-    def chunk_size(self, key: str, stripe: int) -> int:
-        return self._present[(key, stripe)]
-
-    @property
-    def num_chunks(self) -> int:
-        return len(self._present)
 
     def crash(self) -> None:
         """Fail the device: all stored chunks are lost."""

@@ -6,8 +6,8 @@ This module is both halves of the store's out-of-process data plane:
   prefix followed by exactly that many body bytes, so a reader either
   delivers a whole frame or raises :class:`RpcProtocolError`; torn
   chunks are structurally impossible.  Requests are ``put_chunk`` /
-  ``get_chunk`` / ``delete_object`` / ``crash`` / ``restore`` /
-  ``stat`` / ``shutdown``; responses are ``OK`` (with an optional
+  ``get_chunk`` / ``crash`` / ``restore`` / ``stat`` / ``shutdown``
+  (opcode 3 is retired); responses are ``OK`` (with an optional
   payload), ``MISSING`` or ``ERR``;
 * the **chunk server** -- the ``python -m repro.store.rpc`` entry point
   a :class:`~repro.store.node.ProcessTransport` spawns, one subprocess
@@ -48,14 +48,12 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 # Request opcodes (first body byte).
 OP_PUT = 1
 OP_GET = 2
-OP_DELETE = 3
 OP_CRASH = 4
 OP_RESTORE = 5
 OP_STAT = 6
 OP_SHUTDOWN = 7
 
-_KNOWN_OPS = (OP_PUT, OP_GET, OP_DELETE, OP_CRASH, OP_RESTORE, OP_STAT,
-              OP_SHUTDOWN)
+_KNOWN_OPS = (OP_PUT, OP_GET, OP_CRASH, OP_RESTORE, OP_STAT, OP_SHUTDOWN)
 
 # Response status codes (first body byte).
 STATUS_OK = 0
@@ -326,12 +324,6 @@ class ChunkServer:
             if data is None:
                 return encode_response(STATUS_MISSING), True
             return encode_response(STATUS_OK, data), True
-        if op == OP_DELETE:
-            doomed = [pair for pair in self.chunks if pair[0] == key]
-            for pair in doomed:
-                del self.chunks[pair]
-            return encode_response(
-                STATUS_OK, len(doomed).to_bytes(4, "big")), True
         if op == OP_CRASH:
             self.chunks.clear()
             self.up = False

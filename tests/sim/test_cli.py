@@ -520,3 +520,38 @@ def test_help_epilog_points_at_scenario_docs(capsys):
     out = capsys.readouterr().out
     assert "docs/scenarios.md" in out
     assert "--dump-spec" in out
+
+
+# --------------------------------------------------------------------------- #
+# --spec passes the loaded spec through unchanged
+# --------------------------------------------------------------------------- #
+_CHEAP = ("[estimator]\nmode = \"{mode}\"\ntrials = 2\nseed = 0\n"
+          "horizon_hours = 500.0\n")
+
+
+@pytest.mark.parametrize("body, mode, field", [
+    ('[lifetime]\nkind = "weibull"\n', "montecarlo", "weibull_shape"),
+    ('[lifetime]\nkind = "exponential"\nweibull_shape = 2.0\n',
+     "montecarlo", "weibull_shape"),
+    ("[fleet]\nstripes_per_array = 16\nscrub_interval_hours = -5.0\n",
+     "events", "scrub_interval_hours"),
+    ("[fleet]\nstripes_per_array = 16\n[repair]\nrebuild_concurrency = 0\n",
+     "events", "rebuild_concurrency"),
+    (None, "events", "scrub_interval_hours"),
+], ids=["weibull-without-shape", "shape-under-exponential",
+        "negative-scrub-interval", "zero-rebuild-concurrency",
+        "negative-scrub-interval-flag"])
+def test_invalid_values_are_rejected_not_rewritten(tmp_path, body, mode,
+                                                   field):
+    """A value the spec rejects is never silently rewritten into a
+    valid one, whether it came from a --spec file or from a flag."""
+    if body is None:
+        argv = ["--mode", mode, "--trials", "2", "--stripes", "16",
+                "--horizon", "500", "--scrub-interval", "-5"]
+    else:
+        path = tmp_path / "scenario.toml"
+        path.write_text('version = 1\n[code]\nspec = "rs(n=8,r=16,m=1)"\n'
+                        + body + _CHEAP.format(mode=mode))
+        argv = ["--spec", str(path)]
+    with pytest.raises(SystemExit, match=f"^error: .*{field}"):
+        main(argv)

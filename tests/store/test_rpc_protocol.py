@@ -129,7 +129,7 @@ def test_oversized_body_is_refused_at_encode_time(monkeypatch):
 # --------------------------------------------------------------------------- #
 def test_request_encode_decode_round_trips_fuzzed():
     rng = np.random.default_rng(2024)
-    ops = (rpc.OP_PUT, rpc.OP_GET, rpc.OP_DELETE, rpc.OP_CRASH,
+    ops = (rpc.OP_PUT, rpc.OP_GET, rpc.OP_CRASH,
            rpc.OP_RESTORE, rpc.OP_STAT, rpc.OP_SHUTDOWN)
     for _ in range(200):
         op = ops[rng.integers(len(ops))]
@@ -159,7 +159,7 @@ def test_corrupted_request_bodies_error_cleanly_fuzzed():
             op, key, stripe, decoded = decode_request(bytes(body))
         except RpcProtocolError:
             continue
-        assert op in (rpc.OP_PUT, rpc.OP_GET, rpc.OP_DELETE, rpc.OP_CRASH,
+        assert op in (rpc.OP_PUT, rpc.OP_GET, rpc.OP_CRASH,
                       rpc.OP_RESTORE, rpc.OP_STAT, rpc.OP_SHUTDOWN)
         assert isinstance(key, str) and isinstance(decoded, bytes)
 
@@ -280,9 +280,6 @@ def test_chunk_server_put_get_delete_crash_restore():
 
     assert call(rpc.OP_PUT, "k", 0, b"beta")[0] == (rpc.STATUS_OK, b"")
     assert call(rpc.OP_PUT, "k", 1, b"gamma")[0] == (rpc.STATUS_OK, b"")
-    (status, deleted), _ = call(rpc.OP_DELETE, "k")
-    assert status == rpc.STATUS_OK
-    assert int.from_bytes(deleted, "big") == 2
 
     response, keep = call(rpc.OP_SHUTDOWN)
     assert response == (rpc.STATUS_OK, b"") and keep is False
