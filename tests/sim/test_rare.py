@@ -40,6 +40,7 @@ from repro.sim.rare import (
     projected_direct_rounds,
     rare_event_code_mttdl,
 )
+from repro.sim.traces import EmpiricalLifetime, generate_trace
 
 
 # --------------------------------------------------------------------------- #
@@ -158,6 +159,56 @@ def test_seeded_runs_are_deterministic():
     assert a.cycles == b.cycles
     c = estimate_rare_mttdl(8, 1e-6, m=2, seed=43)
     assert a.mttdl_hours != c.mttdl_hours
+
+
+#: Fixed-seed results on the independent path, pinned so refactors of
+#: the busy-cycle machine can prove they draw the same random stream:
+#: (name, estimate_rare_mttdl kwargs, cycles, loss_cycles, mttdl_hours,
+#: effective_sample_size).  ``lifetime="trace-fit"`` stands for an
+#: EmpiricalLifetime fitted on a seeded exponential trace.
+PINNED_INDEPENDENT_RUNS = [
+    ("m1", dict(n=8, p_arr=1e-4, m=1, seed=101),
+     100000, 52759, 172315773.3028068, 18818.10471183486),
+    ("m2", dict(n=8, p_arr=1e-6, m=2, seed=102),
+     50000, 16636, 1158777743626.7847, 6661.819892763822),
+    ("m3", dict(n=8, p_arr=1e-6, m=3, seed=103, target_rel_se=0.05),
+     50000, 10812, 6656629154910873.0, 8546.215364951859),
+    ("p_arr_zero", dict(n=6, p_arr=0.0, m=1, seed=104,
+                        lifetime=ExponentialLifetime(100_000.0),
+                        repair=ExponentialRepair(20.0)),
+     50000, 25126, 16709362.305408465, 6226.15068635199),
+    ("deterministic_repair", dict(n=8, p_arr=1e-3, m=2, seed=105,
+                                  lifetime=ExponentialLifetime(50_000.0),
+                                  repair=DeterministicRepair(100.0)),
+     50000, 20580, 64121554.83079197, 18881.32148389491),
+    ("explicit_biasing", dict(n=8, p_arr=0.05, m=2, seed=106,
+                              lifetime=ExponentialLifetime(50_000.0),
+                              repair=ExponentialRepair(100.0),
+                              acceleration=3.0, trip_bias=0.3),
+     200000, 2731, 7290219.306311375, 195944.12333473173),
+    ("empirical", dict(n=8, p_arr=1e-6, m=2, seed=107, lifetime="trace-fit",
+                       repair=ExponentialRepair(17.8), target_rel_se=0.05),
+     50000, 16370, 1150129195317.0225, 8522.373126902297),
+]
+
+
+@pytest.mark.parametrize(
+    "kwargs, cycles, loss_cycles, mttdl, ess",
+    [row[1:] for row in PINNED_INDEPENDENT_RUNS],
+    ids=[row[0] for row in PINNED_INDEPENDENT_RUNS])
+def test_pinned_independent_runs(kwargs, cycles, loss_cycles, mttdl, ess):
+    """Same seed, same numbers: the independent-path random stream is
+    part of the estimator's contract (sweep caches and golden tables
+    rely on it)."""
+    if kwargs.get("lifetime") == "trace-fit":
+        trace = generate_trace(ExponentialLifetime(5e5), 30_000,
+                               observation_hours=2.5e6, seed=2)
+        kwargs = dict(kwargs, lifetime=EmpiricalLifetime.fit(trace))
+    result = estimate_rare_mttdl(**kwargs)
+    assert result.cycles == cycles
+    assert result.loss_cycles == loss_cycles
+    assert result.mttdl_hours == pytest.approx(mttdl, rel=1e-9)
+    assert result.effective_sample_size == pytest.approx(ess, rel=1e-9)
 
 
 def test_variance_controlled_stopping():
