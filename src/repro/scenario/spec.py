@@ -792,7 +792,7 @@ def _toml_value(value: Any) -> str:
 #: Salt mixed into every content hash.  Bump when an engine's sampling
 #: or estimator semantics change, so stale sweep-cache entries (computed
 #: by older engine code) miss instead of being served as current.
-CODE_VERSION_SALT = "repro-sim/engines-v1"
+CODE_VERSION_SALT = "repro-sim/engines-v2"
 
 
 def spec_hash(spec: ScenarioSpec, salt: str = CODE_VERSION_SALT) -> str:

@@ -88,6 +88,32 @@ def code_reliability_from_code(code: StripeCode) -> CodeReliability:
     )
 
 
+def _checked_code_reliability(code: StripeCode | CodeReliability,
+                              params: SystemParameters) -> CodeReliability:
+    """The analytic description of ``code``, checked against ``params``.
+
+    A :class:`CodeReliability` passes through; a concrete code must
+    tolerate ``params.m`` device failures and have the ``params``
+    geometry, or the sector model and the simulation would disagree.
+    """
+    if isinstance(code, CodeReliability):
+        return code
+    coverage = CoverageModel.from_code(code)
+    if coverage.m != params.m:
+        raise ValueError(
+            f"{type(code).__name__} tolerates m = {coverage.m} device "
+            f"failures but SystemParameters has m = {params.m}; the "
+            "sector model and simulation would disagree"
+        )
+    if (code.n, code.r) != (params.n, params.r):
+        raise ValueError(
+            f"code geometry (n={code.n}, r={code.r}) does not match "
+            f"SystemParameters (n={params.n}, r={params.r}); the "
+            "sector model and simulation would disagree"
+        )
+    return code_reliability_from_code(code)
+
+
 @dataclass
 class MonteCarloResult:
     """Batch of simulated times to data loss, with summary statistics.
@@ -550,23 +576,7 @@ def simulate_code_mttdl(code: StripeCode | CodeReliability,
     expected match.
     """
     params = params or SystemParameters()
-    if isinstance(code, CodeReliability):
-        reliability = code
-    else:
-        coverage = CoverageModel.from_code(code)
-        if coverage.m != params.m:
-            raise ValueError(
-                f"{type(code).__name__} tolerates m = {coverage.m} device "
-                f"failures but SystemParameters has m = {params.m}; the "
-                "sector model and cluster simulation would disagree"
-            )
-        if (code.n, code.r) != (params.n, params.r):
-            raise ValueError(
-                f"code geometry (n={code.n}, r={code.r}) does not match "
-                f"SystemParameters (n={params.n}, r={params.r}); the "
-                "sector model and cluster simulation would disagree"
-            )
-        reliability = code_reliability_from_code(code)
+    reliability = _checked_code_reliability(code, params)
     parr = p_array(reliability, params, model)
     lifetime = lifetime or ExponentialLifetime(
         params.mean_time_to_failure_hours)

@@ -35,13 +35,16 @@ acceleration.
 
 **Correlated failure domains.**  A
 :class:`~repro.sim.domains.FailureDomains` spec folds rack/enclosure
-shocks and batch wear into the same decomposition.  Shock processes are
-Poisson and batch-accelerated lifetimes stay exponential (per-device
-rates ``λ_i``), so the all-healthy state remains a regeneration point;
-the up phase now ends at rate ``Λ + S`` where ``Λ = Σ λ_i`` and ``S``
-is the total rate of shocks that kill at least one device, and a busy
-period can *start* with several devices down (a multi-kill shock).  The
-initial event's type is oversampled toward shocks (a Bernoulli
+shocks and batch wear into the same decomposition and the same busy-cycle
+machine; an inert spec (pure topology) runs the independent path and
+reproduces its random stream bit for bit.  Shock processes are Poisson
+and batch wear is an accelerated-failure-time scale (a device of age
+``a`` is scored at ``a·mult_i``; exponential devices simply fail at
+``λ_i = mult_i·λ``), so the all-healthy state remains a regeneration
+point; the up phase now ends at rate ``Λ + S`` where ``Λ = Σ λ_i`` and
+``S`` is the total rate of shocks that kill at least one device, and a
+busy period can *start* with several devices down (a multi-kill shock).
+The initial event's type is oversampled toward shocks (a Bernoulli
 proposal, reweighted exactly); within the busy period shock *arrivals*
 are accelerated by the same θ as the lifetimes and scored with their
 interarrival density/survival ratios (otherwise shock-supplied
@@ -65,7 +68,9 @@ constant -- the fitted-on-exponential validation case -- and an
 approximation whose error grows with the hazard's variation over one
 busy period (hours) relative to the device timescale, i.e. vanishingly
 small for realistic traces.  Strongly age-varying hazards belong to the
-direct engines.
+direct engines, as do fits combined with active failure domains (the
+up-phase mean would need ``E[min]`` of heterogeneous piecewise hazards
+plus shocks, which has no closed form).
 
 The estimator is validated against the general birth-death chain of
 :func:`repro.reliability.markov.mttdl_arr_m_parity` at the paper's true
@@ -105,9 +110,8 @@ from repro.sim.lifetimes import (
 from repro.sim.montecarlo import (
     MAX_ROUNDS,
     _as_rng,
-    code_reliability_from_code,
+    _checked_code_reliability,
 )
-from repro.sim.cluster import CoverageModel
 from repro.sim.domains import FailureDomains, shock_group_arrays
 from repro.sim.traces import EmpiricalLifetime
 
@@ -222,134 +226,6 @@ def balanced_acceleration(n: int, lifetime_mean_hours: float,
     return max(1.0, theta)
 
 
-def _biased_busy_cycles(n: int, m: int, p_arr: float, batch: int,
-                        rng: np.random.Generator,
-                        biased: BiasedLifetime, repair: RepairModel,
-                        trip_bias: float,
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Simulate ``batch`` busy periods under the biased proposal.
-
-    Each lane starts the instant its first device fails (one device
-    down, ``n - 1`` healthy with fresh biased lifetimes, one rebuild in
-    flight) and ends at regeneration (all devices healthy again) or data
-    loss.  Returns ``(loss, duration, log_weight)`` per lane, where the
-    log weight is the adapted log-likelihood ratio of the observed path:
-    density ratios for failures, survival ratios at cycle end for
-    devices still alive, Bernoulli ratios for biased sector trips.
-    """
-    q = trip_bias
-    # Bernoulli log-likelihood ratios, guarded for the boundary
-    # schedules the caller may legitimately pick: p_arr = 0 makes the
-    # trip impossible under the target (weight 0, i.e. log weight -inf);
-    # q = 1 makes *no*-trip impossible under the proposal (the branch is
-    # then never selected, but np.where still needs a finite-safe value).
-    if q != p_arr:
-        log_w_trip = math.log(p_arr / q) if p_arr > 0.0 else -math.inf
-        log_w_no_trip = (math.log((1.0 - p_arr) / (1.0 - q))
-                         if q < 1.0 else -math.inf)
-    next_fail = np.full((batch, n), math.inf)
-    install = np.zeros((batch, n))
-    next_fail[:, 1:] = biased.sample(rng, (batch, n - 1))
-    num_failed = np.ones(batch, dtype=np.int32)
-    rebuild_done = np.asarray(repair.sample(rng, batch), dtype=float)
-    log_w = np.zeros(batch)
-    loss = np.zeros(batch, dtype=bool)
-    duration = np.zeros(batch)
-    active = np.arange(batch)
-
-    for _ in range(MAX_CYCLE_ROUNDS):
-        if active.size == 0:
-            break
-        nf = next_fail[active]
-        dev = nf.argmin(axis=1)
-        t_fail = nf[np.arange(active.size), dev]
-        t_rebuild = rebuild_done[active]
-        fail_first = t_fail <= t_rebuild
-        t = np.where(fail_first, t_fail, t_rebuild)
-        f = num_failed[active]
-        done = np.zeros(active.size, dtype=bool)
-
-        # Device failures: score the observed lifetime, mark the device
-        # down (before the survival factors below -- a fatally failing
-        # device must not also be scored as a survivor), lose data if m
-        # devices were already down.
-        if fail_first.any():
-            lanes = active[fail_first]
-            d = dev[fail_first]
-            ages = t[fail_first] - install[lanes, d]
-            log_w[lanes] += biased.log_weight(ages)
-            next_fail[lanes, d] = math.inf
-            fatal = f[fail_first] == m
-            if fatal.any():
-                fatal_lanes = lanes[fatal]
-                loss[fatal_lanes] = True
-                duration[fatal_lanes] = t[fail_first][fatal]
-                done[np.flatnonzero(fail_first)[fatal]] = True
-            grew = lanes[~fatal]
-            if grew.size:
-                num_failed[grew] += 1
-
-        # Rebuild completions: in critical mode the biased sector trip
-        # fires with probability q instead of p_arr and the Bernoulli
-        # likelihood ratio joins the weight.  Surviving completions
-        # restore one device with a fresh biased lifetime; the cycle
-        # regenerates when no device is left down.
-        rebuilt = ~fail_first
-        if rebuilt.any():
-            lanes = active[rebuilt]
-            critical = f[rebuilt] == m
-            trip = np.zeros(lanes.size, dtype=bool)
-            num_critical = int(critical.sum())
-            if num_critical and q > 0.0:
-                fired = rng.random(num_critical) < q
-                trip[critical] = fired
-                if q != p_arr:
-                    log_w[lanes[critical]] += np.where(
-                        fired, log_w_trip, log_w_no_trip)
-            if trip.any():
-                trip_lanes = lanes[trip]
-                loss[trip_lanes] = True
-                duration[trip_lanes] = t[rebuilt][trip]
-                done[np.flatnonzero(rebuilt)[trip]] = True
-            ok = ~trip
-            ok_lanes = lanes[ok]
-            if ok_lanes.size:
-                restored = np.isinf(next_fail[ok_lanes]).argmax(axis=1)
-                fresh = biased.sample(rng, ok_lanes.size)
-                next_fail[ok_lanes, restored] = t[rebuilt][ok] + fresh
-                install[ok_lanes, restored] = t[rebuilt][ok]
-                num_failed[ok_lanes] -= 1
-                rebuild_done[ok_lanes] = math.inf
-                more = num_failed[ok_lanes] > 0
-                chained = ok_lanes[more]
-                if chained.size:
-                    rebuild_done[chained] = (
-                        t[rebuilt][ok][more]
-                        + repair.sample(rng, chained.size))
-                regen = ok_lanes[~more]
-                if regen.size:
-                    duration[regen] = t[rebuilt][ok][~more]
-                    done[np.flatnonzero(rebuilt)[ok][~more]] = True
-
-        # Cycle over: devices still alive are only *observed* to have
-        # survived to the cycle end; score that survival, not the full
-        # unused draw.
-        if done.any():
-            ended = active[done]
-            alive = np.isfinite(next_fail[ended])
-            ages = (duration[ended][:, None] - install[ended]) * alive
-            log_w[ended] += (biased.log_weight_survival(ages)
-                             * alive).sum(axis=1)
-            active = active[~done]
-    else:  # pragma: no cover - safety valve
-        raise RuntimeError(
-            f"busy period did not finish within {MAX_CYCLE_ROUNDS} events; "
-            "the biasing proposal is pathological (acceleration too strong "
-            "or repair model degenerate)"
-        )
-    return loss, duration, log_w
-
-
 def _conditional_kill_patterns(member: np.ndarray, p: np.ndarray,
                                rng: np.random.Generator) -> np.ndarray:
     """Bernoulli kill patterns over group members, conditioned on >= 1.
@@ -376,90 +252,99 @@ def _conditional_kill_patterns(member: np.ndarray, p: np.ndarray,
         "kill probability is too small for rejection sampling")
 
 
-def _domain_busy_cycles(n: int, m: int, p_arr: float, batch: int,
-                        rng: np.random.Generator,
-                        lam: np.ndarray, theta: float,
-                        repair: RepairModel, trip_bias: float,
-                        groups: tuple,
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Simulate ``batch`` busy periods with failure domains active.
+def _busy_cycles(n: int, m: int, p_arr: float, batch: int,
+                 rng: np.random.Generator,
+                 biased: BiasedLifetime, repair: RepairModel,
+                 trip_bias: float,
+                 mult: np.ndarray | None = None,
+                 groups: tuple = (),
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Simulate ``batch`` busy periods under the biased proposal.
 
-    The generalisation of :func:`_biased_busy_cycles` to per-device
-    exponential rates ``lam`` (batch-accelerated devices simply carry a
-    larger rate) and compound-Poisson domain shocks ``groups``
-    (:class:`~repro.sim.domains.ShockGroup` instances over device
-    indices of one array).  Lifetimes are drawn from the accelerated
-    proposal ``Exp(theta * lam_i)`` and scored with exact
-    density/survival ratios against ``Exp(lam_i)``.  Busy-period shock
-    *arrivals* are accelerated by the same ``theta`` and scored with
-    the matching interarrival density/survival ratios -- without this,
-    loss paths in which a shock supplies one of the critical-mode
-    failures would be sampled ~``theta``-times too rarely, and the
-    finite-sample estimate would be biased optimistic whenever shocks
-    carry a real share of the hazard.  Kill draws stay at their true
-    probabilities (weight 1), as does the busy period's *initial* event
-    mixture (reweighted exactly when the shock/failure Bernoulli is
-    biased toward shocks).
+    Each lane starts the instant the up phase ends and runs to
+    regeneration (all devices healthy again) or data loss.  Returns
+    ``(loss, duration, log_weight)`` per lane, where the log weight is
+    the adapted log-likelihood ratio of the observed path: density
+    ratios for failures, survival ratios at cycle end for devices still
+    alive, Bernoulli ratios for biased sector trips.
 
-    A cycle's initial event is a single device failure (device chosen
-    ``∝ lam_i``) or a shock killing ``K >= 1`` members of one group
-    (group chosen ``∝`` its kill rate, pattern from the conditional
-    Bernoulli law); ``K > m`` is an immediate loss at duration 0.
-    Returns ``(loss, duration, log_weight)`` per lane.
+    Without failure domains (``mult`` None, no ``groups``) the busy
+    period opens with device 0 down and the other ``n - 1`` holding
+    fresh biased lifetimes.  ``mult`` holds per-device batch-wear
+    multipliers, applied as an accelerated-failure-time scale: fresh
+    draws are divided by ``mult[i]`` and a device of age ``a`` is scored
+    at ``a * mult[i]``; the opening failure then hits device ``i``
+    ``∝ mult[i]``.  ``groups`` are the array's
+    :class:`~repro.sim.domains.ShockGroup` instances; they come with a
+    ``mult`` (all ones without batch wear).  The opening event is a
+    shock with a probability oversampled to at least
+    :data:`SHOCK_INIT_BIAS_FLOOR` (the Bernoulli reweighted exactly); it
+    kills ``K >= 1`` members of a group chosen ``∝`` its kill rate, and
+    ``K > m`` is an immediate loss at duration 0.  Within the busy
+    period shock *arrivals* are accelerated by the lifetimes' θ and
+    scored with interarrival density/survival ratios -- otherwise
+    shock-supplied critical-mode failures would be sampled ~θ-times too
+    rarely -- while kill draws keep their true probabilities (no
+    weight).  A device killed by a shock is scored with its *survival*
+    ratio at its age.
     """
     q = trip_bias
+    # Bernoulli log-likelihood ratios, guarded for the boundary
+    # schedules the caller may legitimately pick: p_arr = 0 makes the
+    # trip impossible under the target (weight 0, i.e. log weight -inf);
+    # q = 1 makes *no*-trip impossible under the proposal (the branch is
+    # then never selected, but np.where still needs a finite-safe value).
     if q != p_arr:
         log_w_trip = math.log(p_arr / q) if p_arr > 0.0 else -math.inf
         log_w_no_trip = (math.log((1.0 - p_arr) / (1.0 - q))
                          if q < 1.0 else -math.inf)
-    total_rate = float(lam.sum())
-    prop_rate = theta * lam
-    log_theta = math.log(theta)
-    G = len(groups)
-    if G:
-        member, shock_rate, kill_prob = shock_group_arrays(groups, n)
-        prop_shock_scale = 1.0 / (theta * shock_rate)
-        kill_rate = np.array([g.kill_rate_per_hour for g in groups])
-        total_kill_rate = float(kill_rate.sum())
-    else:
-        total_kill_rate = 0.0
-    true_shock = total_kill_rate / (total_rate + total_kill_rate)
-    q_shock = (max(true_shock, SHOCK_INIT_BIAS_FLOOR)
-               if total_kill_rate > 0.0 else 0.0)
-
-    log_w = np.zeros(batch)
     install = np.zeros((batch, n))
-    next_fail = rng.standard_exponential((batch, n)) / prop_rate
-    num_failed = np.zeros(batch, dtype=np.int32)
+    log_w = np.zeros(batch)
+    num_failed = np.ones(batch, dtype=np.int32)
 
     # --- the event that ends the up phase and opens the busy period ---
-    shock_init = np.zeros(batch, dtype=bool)
-    if q_shock > 0.0:
-        shock_init = rng.random(batch) < q_shock
-        if q_shock != true_shock:
-            log_w += np.where(
-                shock_init, math.log(true_shock / q_shock),
-                math.log((1.0 - true_shock) / (1.0 - q_shock)))
-    fail_lanes = np.flatnonzero(~shock_init)
-    if fail_lanes.size:
-        first = rng.choice(n, fail_lanes.size, p=lam / total_rate)
-        next_fail[fail_lanes, first] = math.inf
-        num_failed[fail_lanes] = 1
-    shock_lanes = np.flatnonzero(shock_init)
-    if shock_lanes.size:
-        g0 = rng.choice(G, shock_lanes.size, p=kill_rate / total_kill_rate)
-        pattern = _conditional_kill_patterns(member[g0], kill_prob[g0], rng)
-        next_fail[shock_lanes] = np.where(pattern, math.inf,
-                                          next_fail[shock_lanes])
-        num_failed[shock_lanes] = pattern.sum(axis=1)
-
+    if mult is None:
+        next_fail = np.full((batch, n), math.inf)
+        next_fail[:, 1:] = biased.sample(rng, (batch, n - 1))
+    else:
+        next_fail = biased.sample(rng, (batch, n)) / mult
+        device_rate = float(mult.sum()) / biased.target.mean_hours
+        member, shock_rate, kill_prob = shock_group_arrays(groups, n)
+        kill_rate = np.array([g.kill_rate_per_hour for g in groups])
+        total_kill_rate = float(kill_rate.sum())
+        true_shock = total_kill_rate / (device_rate + total_kill_rate)
+        shock_init = np.zeros(batch, dtype=bool)
+        if total_kill_rate > 0.0:
+            q_shock = max(true_shock, SHOCK_INIT_BIAS_FLOOR)
+            shock_init = rng.random(batch) < q_shock
+            if q_shock != true_shock:
+                log_w += np.where(
+                    shock_init, math.log(true_shock / q_shock),
+                    math.log((1.0 - true_shock) / (1.0 - q_shock)))
+        fail_lanes = np.flatnonzero(~shock_init)
+        if fail_lanes.size:
+            first = rng.choice(n, fail_lanes.size, p=mult / mult.sum())
+            next_fail[fail_lanes, first] = math.inf
+        shock_lanes = np.flatnonzero(shock_init)
+        if shock_lanes.size:
+            g0 = rng.choice(len(groups), shock_lanes.size,
+                            p=kill_rate / total_kill_rate)
+            pattern = _conditional_kill_patterns(member[g0], kill_prob[g0],
+                                                 rng)
+            next_fail[shock_lanes] = np.where(pattern, math.inf,
+                                              next_fail[shock_lanes])
+            num_failed[shock_lanes] = pattern.sum(axis=1)
     rebuild_done = np.asarray(repair.sample(rng, batch), dtype=float)
-    if G:
+    if groups:
         # Accelerated shock clocks; ``last_shock`` tracks each group's
         # previous (biased) arrival so interarrival ratios can be
         # scored, with the busy start as the memoryless epoch.
-        next_shock = rng.exponential(prop_shock_scale, size=(batch, G))
-        last_shock = np.zeros((batch, G))
+        theta = biased.acceleration
+        log_theta = math.log(theta)
+        prop_shock_scale = 1.0 / (theta * shock_rate)
+        next_shock = rng.exponential(prop_shock_scale,
+                                     size=(batch, len(groups)))
+        last_shock = np.zeros((batch, len(groups)))
     loss = num_failed > m   # a multi-kill shock can lose data outright
     duration = np.zeros(batch)
     active = np.flatnonzero(~loss)
@@ -471,16 +356,17 @@ def _domain_busy_cycles(n: int, m: int, p_arr: float, batch: int,
         dev = nf.argmin(axis=1)
         t_fail = nf[np.arange(active.size), dev]
         t_rebuild = rebuild_done[active]
-        if G:
+        if groups:
             ns = next_shock[active]
             grp = ns.argmin(axis=1)
             t_shock = ns[np.arange(active.size), grp]
             fail_first = (t_fail <= t_rebuild) & (t_fail <= t_shock)
             shock_first = ~fail_first & (t_shock < t_rebuild)
+            rebuilt = ~fail_first & ~shock_first
             t = np.minimum(np.minimum(t_fail, t_rebuild), t_shock)
         else:
             fail_first = t_fail <= t_rebuild
-            shock_first = np.zeros(active.size, dtype=bool)
+            rebuilt = ~fail_first
             t = np.where(fail_first, t_fail, t_rebuild)
         f = num_failed[active]
         done = np.zeros(active.size, dtype=bool)
@@ -489,8 +375,11 @@ def _domain_busy_cycles(n: int, m: int, p_arr: float, batch: int,
         # density ratio), advance the group's clock, kill each healthy
         # member w.p. its true kill probability (no weight), score the
         # killed devices' *survival* to the shock time, lose data if
-        # more than m devices end up down.
-        if shock_first.any():
+        # more than m devices end up down.  Surviving struck lanes need
+        # no rebuild bookkeeping: a rebuild is always in flight during a
+        # busy period (armed at busy start, re-armed on chaining, and a
+        # lane with nothing left to rebuild regenerates the same round).
+        if groups and shock_first.any():
             rows = active[shock_first]
             g = grp[shock_first]
             gap = t[shock_first] - last_shock[rows, g]
@@ -501,30 +390,28 @@ def _domain_busy_cycles(n: int, m: int, p_arr: float, batch: int,
             candidates = member[g] & np.isfinite(next_fail[rows])
             killed = candidates & (rng.random(candidates.shape)
                                    < kill_prob[g][:, None])
-            kcount = killed.sum(axis=1).astype(np.int32)
-            ages = (t[shock_first][:, None] - install[rows]) * killed
-            log_w[rows] += (ages * lam * (theta - 1.0)).sum(axis=1)
+            ages = (t[shock_first][:, None] - install[rows]) * killed * mult
+            log_w[rows] += (biased.log_weight_survival(ages)
+                            * killed).sum(axis=1)
             next_fail[rows] = np.where(killed, math.inf, next_fail[rows])
-            num_failed[rows] += kcount
+            num_failed[rows] += killed.sum(axis=1).astype(np.int32)
             fatal = num_failed[rows] > m
             if fatal.any():
-                fatal_lanes = rows[fatal]
-                loss[fatal_lanes] = True
-                duration[fatal_lanes] = t[shock_first][fatal]
+                loss[rows[fatal]] = True
+                duration[rows[fatal]] = t[shock_first][fatal]
                 done[np.flatnonzero(shock_first)[fatal]] = True
-            # Surviving struck lanes need no rebuild bookkeeping: a
-            # rebuild is always in flight during a busy period (armed
-            # at busy start, re-armed on chaining, and a lane with
-            # nothing left to rebuild regenerates the same round).
 
-        # Device failures: score the observed lifetime against its own
-        # per-device rate, mark the device down, lose data if m devices
-        # were already down.
+        # Device failures: score the observed lifetime, mark the device
+        # down (before the survival factors below -- a fatally failing
+        # device must not also be scored as a survivor), lose data if m
+        # devices were already down.
         if fail_first.any():
             lanes = active[fail_first]
             d = dev[fail_first]
             ages = t[fail_first] - install[lanes, d]
-            log_w[lanes] += -log_theta + ages * lam[d] * (theta - 1.0)
+            if mult is not None:
+                ages = ages * mult[d]
+            log_w[lanes] += biased.log_weight(ages)
             next_fail[lanes, d] = math.inf
             fatal = f[fail_first] == m
             if fatal.any():
@@ -536,10 +423,11 @@ def _domain_busy_cycles(n: int, m: int, p_arr: float, batch: int,
             if grew.size:
                 num_failed[grew] += 1
 
-        # Rebuild completions: biased critical-mode sector trip, then
-        # restore one device with a fresh (accelerated) lifetime; the
-        # cycle regenerates when no device is left down.
-        rebuilt = ~fail_first & ~shock_first
+        # Rebuild completions: in critical mode the biased sector trip
+        # fires with probability q instead of p_arr and the Bernoulli
+        # likelihood ratio joins the weight.  Surviving completions
+        # restore one device with a fresh biased lifetime; the cycle
+        # regenerates when no device is left down.
         if rebuilt.any():
             lanes = active[rebuilt]
             critical = f[rebuilt] == m
@@ -560,8 +448,9 @@ def _domain_busy_cycles(n: int, m: int, p_arr: float, batch: int,
             ok_lanes = lanes[ok]
             if ok_lanes.size:
                 restored = np.isinf(next_fail[ok_lanes]).argmax(axis=1)
-                fresh = (rng.standard_exponential(ok_lanes.size)
-                         / prop_rate[restored])
+                fresh = biased.sample(rng, ok_lanes.size)
+                if mult is not None:
+                    fresh = fresh / mult[restored]
                 next_fail[ok_lanes, restored] = t[rebuilt][ok] + fresh
                 install[ok_lanes, restored] = t[rebuilt][ok]
                 num_failed[ok_lanes] -= 1
@@ -577,15 +466,19 @@ def _domain_busy_cycles(n: int, m: int, p_arr: float, batch: int,
                     duration[regen] = t[rebuilt][ok][~more]
                     done[np.flatnonzero(rebuilt)[ok][~more]] = True
 
-        # Cycle over: score the survival of devices still alive, and of
-        # every (accelerated) shock clock since its last arrival.
+        # Cycle over: devices still alive are only *observed* to have
+        # survived to the cycle end; score that survival, not the full
+        # unused draw -- and likewise every (accelerated) shock clock
+        # since its last arrival.
         if done.any():
             ended = active[done]
             alive = np.isfinite(next_fail[ended])
             ages = (duration[ended][:, None] - install[ended]) * alive
-            log_w[ended] += ((ages * lam * (theta - 1.0))
+            if mult is not None:
+                ages = ages * mult
+            log_w[ended] += (biased.log_weight_survival(ages)
                              * alive).sum(axis=1)
-            if G:
+            if groups:
                 quiet = duration[ended][:, None] - last_shock[ended]
                 log_w[ended] += (quiet * shock_rate
                                  * (theta - 1.0)).sum(axis=1)
@@ -740,19 +633,16 @@ def estimate_rare_mttdl(n: int,
             "only a (quasi-)regeneration point for those); got "
             f"{type(lifetime).__name__}"
         )
-    if isinstance(lifetime, EmpiricalLifetime) and domains is not None:
-        if not domains.is_independent:
+    correlated = domains is not None and not domains.is_independent
+    if isinstance(lifetime, EmpiricalLifetime):
+        if correlated:
             raise ValueError(
                 "correlated failure domains combined with an empirical "
                 "lifetime are not supported by the rare-event estimator "
-                "(the per-device-rate busy-cycle machine is exponential-"
-                "only); drop the shocks/batch wear or use the event "
-                "engine"
+                "(its quasi-renewal up phase needs E[min] of heterogeneous "
+                "piecewise hazards plus shocks, which has no closed "
+                "form); drop the shocks/batch wear or use the event engine"
             )
-        # An inert spec (pure topology) is a statistical no-op: take
-        # the plain busy-cycle path, as the other engines do.
-        domains = None
-    if isinstance(lifetime, EmpiricalLifetime):
         positive = lifetime.hazards[lifetime.hazards > 0.0]
         # A zero interior hazard is an infinite variation, not a
         # benign one -- it must not slip past the ratio filter.
@@ -769,29 +659,26 @@ def estimate_rare_mttdl(n: int,
                 "bathtub-shaped fits", RuntimeWarning, stacklevel=2)
     repair = repair or ExponentialRepair()
 
-    # With failure domains active the per-device rates may differ (the
-    # bad batch) and killing shocks shorten the up phase; the balanced
-    # acceleration generalises via the aggregate failure rate.
-    lam: np.ndarray | None = None
+    # An inert spec (pure topology) is a statistical no-op and takes
+    # the independent path.  An active one brings per-device wear
+    # multipliers and the array's shock groups; ``scale`` is the up
+    # phase's total hazard (device failures plus killing shocks) over the
+    # independent n·λ, so the balanced acceleration -- shocks are
+    # accelerated by the same θ as lifetimes -- and the up-phase mean
+    # follow from the independent formulas.
+    mult: np.ndarray | None = None
     groups: tuple = ()
-    total_kill_rate = 0.0
-    if domains is not None:
-        lam = domains.rate_multipliers(n) / lifetime.mean_hours
+    scale = 1.0
+    if correlated:
+        mult = domains.rate_multipliers(n)
         # array_shock_groups already omits zero-rate/empty groups.
         groups = domains.array_shock_groups(n)
-        total_kill_rate = sum(g.kill_rate_per_hour for g in groups)
+        kill_rate = sum(g.kill_rate_per_hour for g in groups)
+        scale = (float(mult.sum()) + kill_rate * lifetime.mean_hours) / n
 
     if acceleration is None:
-        if lam is None:
-            acceleration = balanced_acceleration(n, lifetime.mean_hours,
-                                                 repair.mean_hours)
-        else:
-            # Balance the combined (intrinsic + killing-shock) race:
-            # shocks are accelerated by the same theta as lifetimes.
-            acceleration = max(
-                1.0, n / ((n - 1)
-                          * (float(lam.sum()) + total_kill_rate)
-                          * repair.mean_hours))
+        acceleration = balanced_acceleration(n, lifetime.mean_hours / scale,
+                                             repair.mean_hours)
     elif acceleration <= 0:
         raise ValueError("acceleration must be positive")
     if trip_bias is None:
@@ -809,28 +696,18 @@ def estimate_rare_mttdl(n: int,
         )
 
     rng = _as_rng(seed)
-    if lam is None:
-        biased = BiasedLifetime.accelerated(lifetime, acceleration)
-        # E[up phase] = E[min of n fresh lifetimes]: 1/(n lambda) in the
-        # exponential case, the piecewise closed form for a trace fit.
-        mean_up = (lifetime.mean_minimum_hours(n)
-                   if isinstance(lifetime, EmpiricalLifetime)
-                   else lifetime.mean_hours / n)
-
-        def run_batch(batch: int):
-            return _biased_busy_cycles(n, m, p_arr, batch, rng, biased,
-                                       repair, trip_bias)
-    else:
-        mean_up = 1.0 / (float(lam.sum()) + total_kill_rate)
-
-        def run_batch(batch: int):
-            return _domain_busy_cycles(n, m, p_arr, batch, rng, lam,
-                                       acceleration, repair, trip_bias,
-                                       groups)
+    biased = BiasedLifetime.accelerated(lifetime, acceleration)
+    # E[up phase] = E[min of n fresh lifetimes and the shocks]:
+    # 1/(n·λ·scale) for exponential devices, the piecewise closed form
+    # for a trace fit.
+    mean_up = (lifetime.mean_minimum_hours(n)
+               if isinstance(lifetime, EmpiricalLifetime)
+               else lifetime.mean_hours / (n * scale))
     moments = _Moments()
     while moments.n < max_cycles:
         batch = min(batch_cycles, max_cycles - moments.n)
-        loss, duration, log_w = run_batch(batch)
+        loss, duration, log_w = _busy_cycles(
+            n, m, p_arr, batch, rng, biased, repair, trip_bias, mult, groups)
         moments.add(loss, duration, log_w)
         if moments.x_sum > 0.0 and moments.losses >= 2:
             mttdl, se = moments.estimate(mean_up)
@@ -902,23 +779,7 @@ def rare_event_code_mttdl(code: StripeCode | CodeReliability,
     independent-failure reference.
     """
     params = params or SystemParameters()
-    if isinstance(code, CodeReliability):
-        reliability = code
-    else:
-        coverage = CoverageModel.from_code(code)
-        if coverage.m != params.m:
-            raise ValueError(
-                f"{type(code).__name__} tolerates m = {coverage.m} device "
-                f"failures but SystemParameters has m = {params.m}; the "
-                "sector model and cycle simulation would disagree"
-            )
-        if (code.n, code.r) != (params.n, params.r):
-            raise ValueError(
-                f"code geometry (n={code.n}, r={code.r}) does not match "
-                f"SystemParameters (n={params.n}, r={params.r}); the "
-                "sector model and cycle simulation would disagree"
-            )
-        reliability = code_reliability_from_code(code)
+    reliability = _checked_code_reliability(code, params)
     parr = p_array(reliability, params, model)
     result = estimate_rare_mttdl(
         params.n, parr, m=params.m, seed=seed,

@@ -342,19 +342,24 @@ PAPER_REPAIR_H = 17.8
 
 
 def test_inert_domains_agree_with_independent_estimator():
-    """A spec with zero shock rates and no batch wear routes through
-    the generalised per-device-rate machine, which must reproduce the
-    independent analytic MTTDL at the paper's parameters."""
+    """A spec with zero shock rates and no batch wear is a statistical
+    no-op: it takes the independent busy-cycle path, so it reproduces
+    the independent analytic MTTDL at the paper's parameters and, seed
+    for seed, the ``domains=None`` run itself."""
+    kwargs = dict(lifetime=ExponentialLifetime(PAPER_LIFE_H),
+                  repair=ExponentialRepair(PAPER_REPAIR_H))
     result = estimate_rare_mttdl(
         8, 4.366e-9, m=2, seed=0,
-        lifetime=ExponentialLifetime(PAPER_LIFE_H),
-        repair=ExponentialRepair(PAPER_REPAIR_H),
-        domains=FailureDomains(racks=4))
+        domains=FailureDomains(racks=4), **kwargs)
     anchor = mttdl_arr_m_parity(8, 1.0 / PAPER_LIFE_H,
                                 1.0 / PAPER_REPAIR_H, 4.366e-9, 2)
     assert result.agrees_with(anchor, z=3.0), (
         result.mttdl_confidence(3.0), anchor)
     assert result.metadata["domains"].startswith("4 racks")
+    plain = estimate_rare_mttdl(8, 4.366e-9, m=2, seed=0, **kwargs)
+    assert result.mttdl_hours == plain.mttdl_hours
+    assert result.cycles == plain.cycles
+    assert result.loss_cycles == plain.loss_cycles
 
 
 def test_single_device_shock_groups_match_chain_at_effective_rate():
