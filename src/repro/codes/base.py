@@ -3,23 +3,41 @@
 The storage-array simulator, the benchmark harness and the reliability
 models are written against this interface so that every code family
 (STAIR, plain Reed-Solomon, SD, IDR) is interchangeable.
+
+Every family is linear over its ``field``, so the interface also holds
+one shared linear-algebra view: a parity-check matrix, the exact
+recoverability predicate and a syndrome solve.
 """
 
 from __future__ import annotations
 
 import abc
+import dataclasses
 from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.core.exceptions import DecodingFailureError
+from repro.gf.matrix import GFMatrix
+
 Grid = list[list[Optional[np.ndarray]]]
+
+#: Erasure patterns :meth:`StripeCode.recoverable` remembers per code.
+RECOVERABLE_MEMO_SIZE = 4096
 
 
 class StripeCode(abc.ABC):
-    """An erasure code operating on an r x n stripe of equal-size symbols."""
+    """An erasure code operating on an r x n stripe of equal-size symbols.
+
+    Concrete codes also expose ``field``, ``counter`` (Mult_XORs) and
+    ``ops_class`` (the region-operation backend).
+    """
 
     #: Human-readable code family name ("STAIR", "RS", "SD", "IDR").
     name: str = "abstract"
+
+    _check: Optional[np.ndarray] = None
+    _memo: Optional[dict[frozenset, bool]] = None
 
     @property
     @abc.abstractmethod
@@ -50,13 +68,15 @@ class StripeCode(abc.ABC):
     def encode(self, data: Sequence[np.ndarray]) -> Grid:
         """Encode ``num_data_symbols`` symbols into a full r x n grid."""
 
-    @abc.abstractmethod
     def decode(self, stripe: Grid) -> Grid:
         """Recover lost (``None``) symbols of a damaged stripe.
 
-        Implementations raise a code-specific error when the failure
-        pattern is outside their coverage.
+        Raises :class:`~repro.core.exceptions.DecodingFailureError` when
+        the pattern is not :meth:`recoverable`.  The default is the
+        generic :meth:`solve`; families with a structured decoder
+        override it.
         """
+        return self.solve(stripe)
 
     @abc.abstractmethod
     def data_positions(self) -> Sequence[tuple[int, int]]:
@@ -76,10 +96,105 @@ class StripeCode(abc.ABC):
         return out
 
     def tolerates(self, lost_positions: Sequence[tuple[int, int]]) -> bool:
-        """Best-effort coverage predicate; defaults to attempting a decode."""
-        raise NotImplementedError
+        """The coverage the code's design guarantees.
+
+        Defaults to the exact :meth:`recoverable`; a family whose design
+        promises less (STAIR's (m, e)) narrows it.
+        """
+        return self.recoverable(lost_positions)
 
     def describe(self) -> str:
         """One-line description used in benchmark tables."""
         return (f"{self.name}(n={self.n}, r={self.r}, "
                 f"data={self.num_data_symbols}/{self.n * self.r})")
+
+    # ------------------------------------------------------------------ #
+    # The linear-algebra view: parity checks, rank, syndrome solve
+    # ------------------------------------------------------------------ #
+    def check_matrix(self) -> np.ndarray:
+        """Parity-check matrix ``H`` (one row per parity symbol, one
+        column per stripe symbol ``(i, j)`` at index ``i * n + j``):
+        every codeword satisfies ``H x = 0``.
+
+        Derived once by encoding unit-vector symbols: with data symbol
+        ``k`` set to the ``k``-th unit vector, every encoded cell holds
+        its generator coefficients, so parity cell ``p`` yields the
+        equation ``p + sum_k G[k, p] d_k = 0``.  The op counter is left
+        untouched.
+        """
+        if self._check is None:
+            n, k = self.n, self.num_data_symbols
+            saved = dataclasses.replace(self.counter)
+            grid = self.encode(list(np.eye(k, dtype=self.field.element_dtype)))
+            self.counter.reset()
+            self.counter.merge(saved)
+            data_idx = [i * n + j for i, j in self.data_positions()]
+            parity_idx = sorted(set(range(self.r * n)) - set(data_idx))
+            check = np.zeros((len(parity_idx), self.r * n), dtype=np.int64)
+            for eq, q in enumerate(parity_idx):
+                check[eq, data_idx] = grid[q // n][q % n]
+                check[eq, q] = 1
+            self._check = check
+        return self._check
+
+    def recoverable(self, lost: Sequence[tuple[int, int]]) -> bool:
+        """Exact: whether the surviving symbols determine every lost one.
+
+        True iff the :meth:`check_matrix` columns of the lost positions
+        are linearly independent.  Answers are memoised per instance,
+        for at most :data:`RECOVERABLE_MEMO_SIZE` patterns.
+        """
+        key = frozenset(lost)
+        if self._memo is None:
+            self._memo = {}
+        answer = self._memo.get(key)
+        if answer is None:
+            check = self.check_matrix()
+            lost_idx = sorted(i * self.n + j for i, j in key)
+            answer = GFMatrix(check[:, lost_idx],
+                              self.field).rank() == len(lost_idx)
+            if len(self._memo) >= RECOVERABLE_MEMO_SIZE:
+                del self._memo[next(iter(self._memo))]
+            self._memo[key] = answer
+        return answer
+
+    def solve(self, stripe: Grid) -> Grid:
+        """Recover every lost symbol by a syndrome solve over
+        :meth:`check_matrix`: exact for every :meth:`recoverable`
+        pattern, :class:`~repro.core.exceptions.DecodingFailureError`
+        for any other."""
+        ops = self.ops_class(self.field, self.counter)
+        n, check = self.n, self.check_matrix()
+        lost = [(i, j) for i in range(self.r) for j in range(n)
+                if stripe[i][j] is None]
+        if not lost:
+            return [[np.asarray(cell) for cell in row] for row in stripe]
+
+        # The first independent check equations over the lost symbols are
+        # the pivot columns of the transposed lost-symbol sub-matrix.
+        lost_idx = [i * n + j for i, j in lost]
+        h_lost = check[:, lost_idx]
+        equation_rows = list(GFMatrix(h_lost.T, self.field).rref()[1])
+        if len(equation_rows) < len(lost):
+            raise DecodingFailureError(
+                f"{len(lost)} lost symbols meet only {len(equation_rows)} "
+                f"independent parity checks of the {self.name} code",
+                unrecovered=lost)
+
+        # Syndromes of the selected equations over the surviving symbols:
+        # stack the survivors into one plane and apply the corresponding
+        # columns of the parity-check matrix with the bulk kernel.
+        surviving = [(i, j) for i in range(self.r) for j in range(n)
+                     if stripe[i][j] is not None]
+        surviving_idx = [i * n + j for i, j in surviving]
+        survivors = [np.asarray(stripe[i][j]) for i, j in surviving]
+        check_sub = check[np.ix_(equation_rows, surviving_idx)]
+        syndromes = ops.matrix_vector(check_sub, survivors)
+
+        solver = GFMatrix(h_lost[equation_rows, :], self.field).inverse()
+        repaired = [[None if cell is None else np.asarray(cell) for cell in row]
+                    for row in stripe]
+        recovered = ops.matrix_vector(solver.data, syndromes)
+        for (i, j), symbol in zip(lost, recovered):
+            repaired[i][j] = symbol
+        return repaired  # type: ignore[return-value]

@@ -7,6 +7,8 @@ hold row parities protecting against device failures.  The paper shows
 (§2) that this is equivalent to a STAIR code with
 ``e = (epsilon, ..., epsilon)`` and ``m' = n - m``, and is therefore less
 space-efficient than a general STAIR configuration.
+
+Decoding is the generic syndrome solve of :meth:`StripeCode.solve`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.codes.base import Grid, StripeCode
-from repro.core.exceptions import DecodingFailureError, EncodingInputError
+from repro.core.exceptions import EncodingInputError
 from repro.gf.field import GField, get_field
 from repro.gf.regions import OperationCounter, RegionOps
 from repro.rs.cauchy import CauchyRSCode
@@ -88,55 +90,6 @@ class IDRScheme(StripeCode):
             for k, symbol in enumerate(parities):
                 grid[i][k_cols + k] = symbol
         return grid
-
-    def decode(self, stripe: Grid) -> Grid:
-        """Iterative row-wise / chunk-wise repair (product-code peeling)."""
-        ops = self.ops_class(self.field, self.counter)
-        grid: Grid = [[None if cell is None else np.asarray(cell) for cell in row]
-                      for row in stripe]
-        k_cols = self._n - self.m
-
-        for _ in range(self._n + self._r):
-            progress = False
-            # Row repair via the device-level code.
-            for i in range(self._r):
-                missing = [j for j in range(self._n) if grid[i][j] is None]
-                if missing and len(missing) <= self.m:
-                    recovered = self.row_code.recover(list(grid[i]), ops,
-                                                      wanted=missing)
-                    for j, symbol in recovered.items():
-                        grid[i][j] = symbol
-                    progress = True
-            # Chunk repair via the intra-device code (data chunks only).
-            for j in range(k_cols):
-                column = [grid[i][j] for i in range(self._r)]
-                missing = [i for i in range(self._r) if column[i] is None]
-                if missing and len(missing) <= self.epsilon:
-                    recovered = self.chunk_code.recover(column, ops, wanted=missing)
-                    for i, symbol in recovered.items():
-                        grid[i][j] = symbol
-                    progress = True
-            lost = [(i, j) for i in range(self._r) for j in range(self._n)
-                    if grid[i][j] is None]
-            if not lost:
-                return grid
-            if not progress:
-                break
-        lost = [(i, j) for i in range(self._r) for j in range(self._n)
-                if grid[i][j] is None]
-        raise DecodingFailureError(
-            "IDR repair stalled: failure pattern outside coverage", unrecovered=lost)
-
-    def tolerates(self, lost_positions: Sequence[tuple[int, int]]) -> bool:
-        try:
-            per_chunk: dict[int, int] = {}
-            for _, j in lost_positions:
-                per_chunk[j] = per_chunk.get(j, 0) + 1
-            failed_devices = sum(1 for c, k in per_chunk.items() if k > self.epsilon
-                                 or c >= self._n - self.m and k > 0)
-            return failed_devices <= self.m
-        except Exception:  # pragma: no cover - defensive
-            return False
 
     def redundant_sectors(self) -> int:
         """Redundant sectors per stripe (the §2 space comparison vs STAIR)."""

@@ -10,7 +10,7 @@ them (§1, §6.1, §7).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -95,12 +95,6 @@ class ReedSolomonStripeCode(StripeCode):
                 for j, symbol in row_recovered.items():
                     rows[i][j] = symbol
         return [[np.asarray(cell) for cell in row] for row in rows]
-
-    def tolerates(self, lost_positions: Sequence[tuple[int, int]]) -> bool:
-        per_row: dict[int, int] = {}
-        for i, _ in lost_positions:
-            per_row[i] = per_row.get(i, 0) + 1
-        return all(count <= self.m for count in per_row.values())
 
     def update_penalty(self) -> float:
         """Every data symbol contributes to exactly m row parity symbols."""

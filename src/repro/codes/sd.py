@@ -22,8 +22,9 @@ This module reproduces that baseline:
   original codes beyond their published parameter range -- because the
   performance comparison only exercises the encoding/decoding algorithm;
 * a no-reuse encoder (every parity symbol is a dense combination of data
-  symbols obtained by solving the parity-check system once) and a
-  syndrome-based decoder.
+  symbols obtained by solving the parity-check system once); decoding is
+  the generic syndrome solve of :meth:`StripeCode.solve` over this
+  parity-check matrix.
 
 The word size is chosen as the smallest of {8, 16} for which the stripe's
 ``r*n`` symbols have distinct Vandermonde coefficients, mirroring the
@@ -34,12 +35,12 @@ codes always fit in GF(2^8).
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.codes.base import Grid, StripeCode
-from repro.core.exceptions import DecodingFailureError, EncodingInputError
+from repro.core.exceptions import EncodingInputError
 from repro.gf.field import GField, get_field
 from repro.gf.matrix import GFMatrix, SingularMatrixError
 from repro.gf.regions import OperationCounter, RegionOps
@@ -133,6 +134,9 @@ class SDCode(StripeCode):
     def _symbol_index(self, row: int, col: int) -> int:
         return row * self._n + col
 
+    def check_matrix(self) -> np.ndarray:
+        return self._check_matrix
+
     def _build_check_matrix(self) -> np.ndarray:
         """(m*r + s) x (r*n) parity-check matrix over the field."""
         f = self.field
@@ -207,82 +211,8 @@ class SDCode(StripeCode):
         return grid
 
     # ------------------------------------------------------------------ #
-    # Decoding (syndrome based)
-    # ------------------------------------------------------------------ #
-    def decode(self, stripe: Grid) -> Grid:
-        ops = self.ops_class(self.field, self.counter)
-        lost = [(i, j) for i in range(self._r) for j in range(self._n)
-                if stripe[i][j] is None]
-        if not lost:
-            return [[np.asarray(cell) for cell in row] for row in stripe]
-        if len(lost) > self.m * self._r + self.s:
-            raise DecodingFailureError(
-                f"{len(lost)} lost symbols exceed the {self.m * self._r + self.s} "
-                "parity symbols of the SD code", unrecovered=lost)
-
-        lost_idx = [self._symbol_index(i, j) for i, j in lost]
-        h_lost = self._check_matrix[:, lost_idx]
-        equation_rows = self._independent_rows(h_lost, len(lost))
-        if equation_rows is None:
-            raise DecodingFailureError(
-                "failure pattern is not covered by this SD code", unrecovered=lost)
-
-        # Syndromes of the selected equations over the surviving symbols:
-        # stack the survivors into one plane and apply the corresponding
-        # columns of the parity-check matrix with the bulk kernel.
-        surviving = [(i, j) for i in range(self._r) for j in range(self._n)
-                     if stripe[i][j] is not None]
-        surviving_idx = [self._symbol_index(i, j) for i, j in surviving]
-        survivors = [np.asarray(stripe[i][j]) for i, j in surviving]
-        check_sub = self._check_matrix[np.ix_(equation_rows, surviving_idx)]
-        syndromes = ops.matrix_vector(check_sub, survivors)
-
-        solver = GFMatrix(h_lost[equation_rows, :], self.field).inverse()
-        repaired = [[None if cell is None else np.asarray(cell) for cell in row]
-                    for row in stripe]
-        recovered = ops.matrix_vector(solver.data, syndromes)
-        for (i, j), symbol in zip(lost, recovered):
-            repaired[i][j] = symbol
-        return repaired  # type: ignore[return-value]
-
-    def _independent_rows(self, matrix: np.ndarray,
-                          needed: int) -> list[int] | None:
-        """Greedily pick ``needed`` equation rows with full column rank.
-
-        A single incremental Gaussian elimination: each candidate row is
-        reduced against the pivots collected so far and kept only if it
-        contributes a new pivot column.
-        """
-        f = self.field
-        selected: list[int] = []
-        pivots: list[tuple[int, np.ndarray]] = []  # (pivot column, reduced row)
-        for row_index in range(matrix.shape[0]):
-            row = matrix[row_index].astype(np.int64).copy()
-            for col, pivot_row in pivots:
-                factor = int(row[col])
-                if factor:
-                    row ^= f.mul_vector(factor, pivot_row).astype(np.int64)
-            nonzero = np.nonzero(row)[0]
-            if nonzero.size == 0:
-                continue
-            col = int(nonzero[0])
-            row = f.mul_vector(f.inv(int(row[col])), row).astype(np.int64)
-            pivots.append((col, row))
-            selected.append(row_index)
-            if len(selected) == needed:
-                return selected
-        return None
-
-    # ------------------------------------------------------------------ #
     # SD-property verification and construction search
     # ------------------------------------------------------------------ #
-    def tolerates(self, lost_positions: Sequence[tuple[int, int]]) -> bool:
-        lost_idx = [self._symbol_index(i, j) for i, j in lost_positions]
-        if len(lost_idx) > self.m * self._r + self.s:
-            return False
-        sub = GFMatrix(self._check_matrix[:, lost_idx], self.field)
-        return sub.rank() == len(lost_idx)
-
     def verify_sd_property(self, max_patterns: int | None = 4000,
                            rng: np.random.Generator | None = None) -> bool:
         """Check that every m-device + s-sector failure pattern is decodable.

@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.codes.base import Grid, StripeCode
 from repro.core.config import StairConfig
+from repro.core.exceptions import DecodingFailureError
 from repro.core.stair import StairCode
 
 
@@ -55,6 +56,11 @@ class StairStripeCode(StripeCode):
         """The Galois field the underlying STAIR code operates in."""
         return self.code.field
 
+    @property
+    def ops_class(self):
+        """The region-operation backend of the underlying STAIR code."""
+        return self.code.ops_class
+
     def data_positions(self) -> Sequence[tuple[int, int]]:
         return self.code.layout.data_positions()
 
@@ -63,9 +69,19 @@ class StairStripeCode(StripeCode):
         return self.code.encode(data).symbols  # type: ignore[return-value]
 
     def decode(self, stripe: Grid) -> Grid:
-        return self.code.decode(stripe).symbols  # type: ignore[return-value]
+        """The staircase decoder; a pattern beyond its (m, e) schedule
+        that is still :meth:`recoverable` falls back to :meth:`solve`."""
+        try:
+            return self.code.decode(stripe).symbols  # type: ignore[return-value]
+        except DecodingFailureError:
+            lost = [(i, j) for i, row in enumerate(stripe)
+                    for j, cell in enumerate(row) if cell is None]
+            if not self.recoverable(lost):
+                raise
+            return self.solve(stripe)
 
     def tolerates(self, lost_positions: Sequence[tuple[int, int]]) -> bool:
+        """The paper's (m, e) coverage guarantee."""
         return self.code.check_coverage(lost_positions)
 
     def update_penalty(self) -> float:

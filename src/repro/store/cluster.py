@@ -21,12 +21,12 @@ Serving paths:
 * ``get_submit(key)`` -- the two-phase read.  The submit decides, under
   the key's lock, which columns serve each stripe (healthy reads touch
   only data-carrying columns and never decode; degraded reads capture
-  every surviving column and are recoverable iff the erasure pattern is
-  within the code's coverage -- the simulator's own
-  ``CoverageModel`` predicate) and captures snapshot promises for the
-  bytes.  The returned :class:`GetTicket` assembles them (decoding
-  degraded stripes) entirely in the data plane, so a later crash or
-  overwrite cannot tear an already-decided read;
+  every surviving column and are served iff the code's exact
+  ``recoverable`` predicate accepts the missing columns) and captures
+  snapshot promises for the bytes.  The returned :class:`GetTicket`
+  assembles them (decoding degraded stripes) entirely in the data
+  plane, so a later crash or overwrite cannot tear an already-decided
+  read;
 * ``get(key)`` -- submit + assemble, for direct callers;
 * ``repair_once()`` / ``repair_forever()`` -- budgeted repair: at most
   ``ceil(repair_streams)`` stripes in flight (the store-level reading
@@ -72,7 +72,7 @@ from repro.store.report import StoreReport
 
 
 class ObjectLostError(RuntimeError):
-    """A stripe's erasure pattern exceeds the code's coverage: data loss."""
+    """A stripe's erasure pattern is not recoverable: data loss."""
 
 
 @dataclass(frozen=True)
@@ -288,8 +288,8 @@ class StoreCluster:
         """Fetch an object; degrades transparently under failures.
 
         Raises ``KeyError`` for unknown keys and
-        :class:`ObjectLostError` when some stripe is beyond the code's
-        coverage (counted in ``report.failed_reads``).
+        :class:`ObjectLostError` when some stripe is not recoverable
+        (counted in ``report.failed_reads``).
         """
         ticket = await self.get_submit(key)
         return await ticket.data()
@@ -343,14 +343,22 @@ class StoreCluster:
                     if promises[j] is not None}
         self.report.bytes_read_nodes_degraded += \
             self.codec.chunk_bytes * len(captured)
-        if not self.codec.column_pattern_recoverable(
-                self.code.n - len(captured)):
+        if not self._recoverable(captured):
             self.report.failed_reads += 1
             raise ObjectLostError(
-                f"object {key!r} stripe {stripe_index} is beyond the "
-                f"code's coverage ({self.code.n - len(captured)} of "
+                f"object {key!r} stripe {stripe_index} is not "
+                f"recoverable ({self.code.n - len(captured)} of "
                 f"{self.code.n} columns missing)")
         return _StripeRead(degraded=True, promises=captured)
+
+    def _recoverable(self, captured: dict[int, object]) -> bool:
+        """The decision predicate of degraded reads and repair: the
+        code's exact :meth:`~repro.codes.base.StripeCode.recoverable`
+        over every symbol of the columns not ``captured``.  A decode
+        failing where this said yes is an integrity bug."""
+        return self.code.recoverable([
+            (i, j) for j in range(self.code.n) if j not in captured
+            for i in range(self.code.r)])
 
     async def _capture_columns(
             self, key: str, stripe_index: int, wanted: Sequence[int]
@@ -423,8 +431,8 @@ class StoreCluster:
 
         ``on_stripe(key, stripe)`` fires after each stripe's placement
         completes -- the hook the crash-during-repair tests use to fail
-        another node mid-pass.  Stripes whose erasure pattern exceeds
-        coverage are counted (``report.unrecoverable_stripes``) and
+        another node mid-pass.  Stripes whose erasure pattern is not
+        recoverable are counted (``report.unrecoverable_stripes``) and
         skipped, not raised: a repair pass must visit every stripe it
         can still save.
         """
@@ -483,8 +491,7 @@ class StoreCluster:
         promises = await self._capture_columns(key, stripe_index, wanted)
         captured = {j: promises[j] for j in wanted
                     if promises[j] is not None}
-        if not self.codec.column_pattern_recoverable(
-                self.code.n - len(captured)):
+        if not self._recoverable(captured):
             self.report.unrecoverable_stripes += 1
             return False
         # Placement is decided now; the rebuilt bytes arrive later.

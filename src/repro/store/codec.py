@@ -73,28 +73,6 @@ class ObjectCodec:
         #: columns a healthy read touches.
         self.data_columns: tuple[int, ...] = tuple(sorted(
             {col for _, col in code.data_positions()}))
-        self._recoverable_cache: dict[int, bool] = {}
-
-    def column_pattern_recoverable(self, num_missing: int) -> bool:
-        """Whether ``num_missing`` whole-column erasures are within the
-        code's coverage.
-
-        This is the *decision* predicate of the store's degraded-read
-        and repair paths: it answers from the simulator's own
-        :class:`~repro.sim.cluster.CoverageModel` (the same model the
-        event engine trusts), synchronously and deterministically,
-        while the actual ``code.decode`` runs later in the data plane.
-        A decode failing where this predicate said yes is an integrity
-        bug, not an expected erasure outcome.
-        """
-        cached = self._recoverable_cache.get(num_missing)
-        if cached is None:
-            from repro.sim.cluster import CoverageModel
-            coverage = CoverageModel.from_code(self.code)
-            cached = coverage.tolerates_counts(
-                (0,) * (self.code.n - num_missing), num_missing)
-            self._recoverable_cache[num_missing] = cached
-        return cached
 
     # ------------------------------------------------------------------ #
     # Geometry
@@ -163,7 +141,7 @@ class ObjectCodec:
         Missing columns (``None``) are reconstructed through
         ``code.decode``; raises the code's own
         :class:`~repro.core.exceptions.DecodingFailureError` (or
-        equivalent) when the erasure pattern exceeds coverage.
+        equivalent) when the erasure pattern is not recoverable.
         """
         if all(columns[col] is not None for col in self.data_columns):
             return self.extract_payload(columns)

@@ -81,7 +81,7 @@ class StoreOutcome:
     @property
     def zero_data_loss(self) -> bool:
         """No read failed, no payload mis-verified, no stripe was
-        beyond coverage, and the data plane delivered every byte the
+        unrecoverable, and the data plane delivered every byte the
         control plane promised."""
         report = self.report
         return (report.failed_reads == 0 and report.verify_failures == 0

@@ -5,11 +5,14 @@ symbols is decoded against a known stripe, and the outcome is tabulated
 next to the chunk-granularity
 :class:`~repro.sim.cluster.CoverageModel` verdict (per-column loss
 counts, no device marked failed -- a whole lost column is just ``r``
-lost symbols).  The rows assert:
+lost symbols), the code's ``tolerates`` and its exact ``recoverable``.
+The rows assert:
 
 * coverage ⇒ ``decode`` returns the exact stripe;
 * ``decode`` never returns wrong bytes: it is exact or it raises
-  :class:`~repro.core.exceptions.DecodingFailureError`.
+  :class:`~repro.core.exceptions.DecodingFailureError`;
+* ``tolerates`` ⇒ ``recoverable``;
+* ``recoverable`` ⇔ ``decode`` succeeds.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ class Row:
 
     pattern: tuple[tuple[int, int], ...]
     covered: bool
+    tolerated: bool
+    recoverable: bool
     outcome: str  # "exact", "wrong" or "failed"
 
 
@@ -69,6 +74,7 @@ def _table(code) -> list[Row]:
                             for i, j in cells)
                 outcome = "exact" if exact else "wrong"
             rows.append(Row(pattern, coverage.tolerates_counts(tuple(counts)),
+                            code.tolerates(pattern), code.recoverable(pattern),
                             outcome))
     return rows
 
@@ -87,3 +93,38 @@ def test_coverage_implies_exact_decode(table):
 def test_decode_never_returns_wrong_bytes(table):
     bad = [row.pattern for row in table if row.outcome == "wrong"]
     assert not bad, bad[:5]
+
+
+def test_tolerates_implies_recoverable(table):
+    bad = [row.pattern for row in table
+           if row.tolerated and not row.recoverable]
+    assert not bad, bad[:5]
+
+
+def test_recoverable_iff_decode_succeeds(table):
+    bad = [row.pattern for row in table
+           if row.recoverable != (row.outcome == "exact")]
+    assert not bad, bad[:5]
+
+
+def test_unverified_sd_default_refuses_its_coverage_holes():
+    """``sd(...)`` specs build base-2 global rows and never verify them.
+    The default sd(n=4,r=3,m=1,s=2) fails the SD property: when columns
+    1 and 2 lose the same two rows, or five of their six symbols, the
+    coverage model admits the pattern but the instance cannot decode it.
+    The exact predicate refuses exactly those nine patterns."""
+    code = parse_code_spec("sd(n=4,r=3,m=1,s=2)")
+    assert not code.verify_sd_property()
+    pair = [(i, j) for i in range(3) for j in (1, 2)]
+    holes = {frozenset((i, j) for i in rows for j in (1, 2))
+             for rows in itertools.combinations(range(3), 2)}
+    holes |= {frozenset(p) for p in itertools.combinations(pair, 5)}
+    assert len(holes) == 9
+
+    table = _table(code)
+    refused = {frozenset(row.pattern) for row in table
+               if row.covered and not row.recoverable}
+    assert refused == holes
+    assert all(row.outcome == "failed" for row in table
+               if frozenset(row.pattern) in holes)
+    assert not [row.pattern for row in table if row.outcome == "wrong"]

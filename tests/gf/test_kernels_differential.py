@@ -25,7 +25,9 @@ Eq. (5) / Eq. (6) Mult_XOR counts to the bulk path as well.
 import numpy as np
 import pytest
 
-from repro.codes import IDRScheme, ReedSolomonStripeCode, SDCode
+from repro.codes import (IDRScheme, ReedSolomonStripeCode, SDCode,
+                         StairStripeCode)
+from repro.core.exceptions import DecodingFailureError
 from repro.core.stair import StairCode
 from repro.gf.field import get_field
 from repro.gf.regions import OperationCounter, ReferenceRegionOps, RegionOps
@@ -252,6 +254,43 @@ class TestEngineRoundTrips:
             for pos_b, pos_r in zip(dec_bulk.symbols, dec_ref.symbols):
                 for cell_b, cell_r in zip(pos_b, pos_r):
                     assert np.array_equal(cell_b, cell_r)
+            assert bulk_code.counter.snapshot() == ref_code.counter.snapshot()
+
+    def test_stair_solve_fallback_round_trips(self):
+        """Patterns beyond the (m, e) schedule that the code still
+        determines decode through ``StripeCode.solve``."""
+        for trial in range(4):
+            rng = np.random.default_rng(60 + trial)
+            bulk_code = StairStripeCode(n=6, r=4, m=1, e=(1, 1))
+            ref_code = StairStripeCode(n=6, r=4, m=1, e=(1, 1))
+            ref_code.code.ops_class = ReferenceRegionOps
+            data = random_symbols(bulk_code.field,
+                                  bulk_code.num_data_symbols, rng)
+            grid_bulk = bulk_code.encode(data)
+            grid_ref = ref_code.encode(data)
+
+            def beyond_schedule(pattern):
+                if (bulk_code.tolerates(pattern)
+                        or not bulk_code.recoverable(pattern)):
+                    return False
+                probe = StairCode.from_params(n=6, r=4, m=1, e=(1, 1))
+                try:
+                    probe.decode(erase(grid_bulk, pattern))
+                except DecodingFailureError:
+                    return True
+                return False
+
+            pattern = random_covered_erasures(
+                rng, bulk_code.r, bulk_code.n, beyond_schedule,
+                max_losses=bulk_code.num_parity_symbols)
+            bulk_code.counter.reset()
+            ref_code.counter.reset()
+            dec_bulk = bulk_code.decode(erase(grid_bulk, pattern))
+            dec_ref = ref_code.decode(erase(grid_ref, pattern))
+            for row_b, row_r, row_g in zip(dec_bulk, dec_ref, grid_bulk):
+                for cell_b, cell_r, cell_g in zip(row_b, row_r, row_g):
+                    assert np.array_equal(cell_b, cell_r)
+                    assert np.array_equal(cell_b, cell_g)
             assert bulk_code.counter.snapshot() == ref_code.counter.snapshot()
 
     def test_stair_eq5_eq6_counts_unchanged_by_bulk_path(self):

@@ -6,6 +6,7 @@ counters each path feeds.
 """
 
 import asyncio
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,8 @@ import pytest
 from repro.codes.registry import parse_code_spec
 from repro.store.cluster import ObjectLostError, StoreCluster
 from repro.store.codec import StoreError
-from repro.store.node import StoreNode
+from repro.sim.cluster import CoverageModel
+from repro.store.node import LocalTransport, ProcessTransport, StoreNode
 
 
 def run(coro):
@@ -152,6 +154,42 @@ def test_beyond_coverage_is_object_lost():
     with pytest.raises(ObjectLostError):
         run(flow())
     assert cluster.report.failed_reads == 1
+
+
+@pytest.mark.parametrize("backend", ["inprocess", "process"])
+def test_recoverable_column_pairs_beyond_coverage_are_served(backend):
+    """sd(n=6,r=2,m=1,s=3) loses 4 symbols with any two columns and has
+    5 independent parity checks over them, although its chunk-level
+    coverage (m = 1) stops at one column: the store asks the code's
+    exact predicate, so it reads and repairs through every pair."""
+    code = parse_code_spec("sd(n=6,r=2,m=1,s=3)")
+    assert not CoverageModel.from_code(code).tolerates_counts((0,) * 4, 2)
+
+    async def flow():
+        if backend == "process":
+            transports = [await ProcessTransport.spawn()
+                          for _ in range(code.n)]
+        else:
+            transports = [LocalTransport() for _ in range(code.n)]
+        nodes = [StoreNode(j, transport=transports[j])
+                 for j in range(code.n)]
+        async with StoreCluster(code, symbol_bytes=16,
+                                nodes=nodes) as cluster:
+            data = payload(3 * cluster.codec.stripe_payload_bytes + 5,
+                           seed=8)
+            await cluster.put("k", data)
+            for pair in itertools.combinations(range(code.n), 2):
+                for j in pair:
+                    cluster.crash_node(j)
+                assert await cluster.get("k") == data, pair
+                assert await cluster.repair_once() == 4, pair
+                await cluster.flush()
+                assert cluster.fully_redundant(), pair
+                assert not await cluster.audit_data_plane(), pair
+            assert cluster.report.failed_reads == 0
+            assert cluster.report.unrecoverable_stripes == 0
+
+    run(flow())
 
 
 def test_degraded_amplification_exceeds_healthy():
