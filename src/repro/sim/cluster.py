@@ -8,9 +8,10 @@ way SMRSU keeps per-stripe state vectors: an integer matrix of bad-sector
 counts per (stripe, chunk) plus a failed flag per device.  Whether a
 stripe is recoverable is decided by :class:`CoverageModel`, a vectorized
 predicate with the same chunk-granularity semantics as the reliability
-analysis of §7 / Appendix B -- and a conservative lower bound on what the
-actual decoders of :mod:`repro.codes` can repair (asserted in the test
-suite against ``StripeCode.tolerates``).
+analysis of §7 / Appendix B -- and, for verified constructions, a
+conservative lower bound on what the actual decoders of
+:mod:`repro.codes` can repair (asserted in the test suite against
+``StripeCode.tolerates`` and ``StripeCode.recoverable``).
 
 The predicate is general in the device tolerance ``m``: it serves both
 the event engine of :mod:`repro.sim.events` (which tracks real sector
