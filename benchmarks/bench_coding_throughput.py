@@ -13,7 +13,14 @@ the baseline these floors are committed against:
 * STAIR-encode (n=8, r=6, m=2, e=(2,1)) at >= 5 MB/s;
 * the bulk path is >= 100x faster than the scalar reference path on
   the 1 MiB stripe (measured ~123x at floor-setting time), with
-  bit-identical output and identical ``OperationCounter`` totals.
+  bit-identical output and identical ``OperationCounter`` totals;
+* ``GField.mul_rows`` on a (6, 16384) plane is >= 2x faster than the
+  inline 2-D fancy index ``mul_table[c[:, None], plane]`` it replaced
+  above the gather crossover (measured ~3.6x).
+
+``test_gather_crossover_summary`` is the microbenchmark behind
+``repro.gf.field.TAKE_GATHER_MIN_ELEMENTS``: it times both gathers of
+``mul_rows`` and ``mul_gather`` at sizes around the crossover.
 
 pytest-benchmark provides the statistical timing; the hard assertions
 use wall-clock directly so they hold even without the plugin's
@@ -24,9 +31,11 @@ import time
 
 import numpy as np
 
+import repro.gf.field as gf_field
 from repro.codes import ReedSolomonStripeCode
 from repro.core.stair import StairCode
 from repro.gf.regions import ReferenceRegionOps
+from repro.gf.tables import get_tables
 
 #: The 1 MiB benchmark stripe: one row of 8 data symbols x 128 KiB.
 RS_N, RS_M = 10, 2
@@ -40,6 +49,9 @@ ENCODE_FLOOR_MBPS = 12.5
 DECODE_FLOOR_MBPS = 10.0
 STAIR_FLOOR_MBPS = 5.0
 SPEEDUP_FLOOR = 100.0
+#: ``mul_rows`` vs the inline 2-D fancy index on a (6, 16384) plane.
+GATHER_SPEEDUP_FLOOR = 2.0
+GATHER_PLANE_SHAPE = (6, 16384)
 
 STAIR_SYMBOL_BYTES = 16 * 1024
 
@@ -137,6 +149,71 @@ def test_bulk_beats_scalar_reference_100x():
         f"bulk path only {speedup:.0f}x faster than the scalar reference "
         f"({STRIPE_MB / bulk_elapsed:.1f} vs {STRIPE_MB / ref_elapsed:.3f} "
         f"MB/s; floor: {SPEEDUP_FLOOR:.0f}x)")
+
+
+def _gather_operands(shape, seed=3):
+    rng = np.random.default_rng(seed)
+    constants = rng.integers(2, 256, shape[0]).astype(np.int64)
+    return constants, rng.integers(0, 256, shape, dtype=np.uint8)
+
+
+def _per_call(fn, calls=10, runs=15):
+    """Best per-call wall-clock of ``fn`` over ``runs`` batches."""
+    elapsed, _ = _best_of(lambda: [fn() for _ in range(calls)], runs=runs)
+    return elapsed / calls
+
+
+def test_mul_rows_beats_fancy_index_2x():
+    """Tripwire for the per-constant ``np.take`` gather: on long rows,
+    ``mul_rows`` must stay well ahead of one 2-D fancy index."""
+    field = gf_field.get_field(8)
+    table = get_tables(8).mul_table
+    constants, plane = _gather_operands(GATHER_PLANE_SHAPE)
+
+    def fancy():
+        return table[constants[:, None], plane]
+
+    assert np.array_equal(field.mul_rows(constants, plane), fancy())
+    t_rows = _per_call(lambda: field.mul_rows(constants, plane))
+    t_fancy = _per_call(fancy)
+    speedup = t_fancy / t_rows
+    assert speedup >= GATHER_SPEEDUP_FLOOR, (
+        f"mul_rows only {speedup:.1f}x faster than the 2-D fancy index on "
+        f"a {GATHER_PLANE_SHAPE} plane ({t_rows * 1e6:.0f} vs "
+        f"{t_fancy * 1e6:.0f} us; floor: {GATHER_SPEEDUP_FLOOR:.0f}x)")
+
+
+def test_gather_crossover_summary(capsys, monkeypatch):
+    """Time both gathers of ``mul_rows`` (4 rows) and ``mul_gather``
+    (2 constants over a (4, L/4) batch column) around the crossover.
+
+    The crossover constant is forced to 0 (always ``np.take``) or past
+    every size (always the fancy index), so both columns time the
+    shipped kernel code.
+    """
+    field = gf_field.get_field(8)
+    shipped = gf_field.TAKE_GATHER_MIN_ELEMENTS
+    rows = []
+    for size in (256, 512, 1024, 2048, 16384):
+        constants, plane = _gather_operands((4, size))
+        batch = plane.reshape(4, 4, size // 4)[:, 1, :]
+        kernels = {"mul_rows": lambda: field.mul_rows(constants, plane),
+                   "mul_gather": lambda: field.mul_gather(constants[:2],
+                                                          batch)}
+        for name, kernel in kernels.items():
+            timings = []
+            for crossover in (2 ** 62, 0):
+                monkeypatch.setattr(gf_field, "TAKE_GATHER_MIN_ELEMENTS",
+                                    crossover)
+                timings.append(_per_call(kernel, calls=20, runs=7))
+            rows.append((name, size, *timings))
+    with capsys.disabled():
+        print("\n[bench_coding_throughput] gather crossover "
+              f"(shipped: {shipped} elements)")
+        for name, size, fancy, take in rows:
+            print(f"  {name:10s} {size:6d} elements: fancy index "
+                  f"{fancy * 1e6:7.1f} us, np.take {take * 1e6:7.1f} us "
+                  f"({fancy / take:4.2f}x)")
 
 
 def test_bench_rs_bulk_encode(benchmark):

@@ -15,6 +15,16 @@ import numpy as np
 
 from repro.gf.tables import SUPPORTED_WORD_SIZES, get_tables
 
+#: Elements per gather call from which :meth:`GField.mul_rows` and
+#: :meth:`GField.mul_gather` switch from one 2-D fancy index into the full
+#: multiplication table to one 1-D ``np.take`` per coefficient.  The fancy
+#: index costs one call but more per element; ``np.take`` costs a Python
+#: iteration per coefficient but gathers ~4x faster per element.  At 512
+#: elements the two break even; at 1024 ``np.take`` wins by 1.3-1.7x.
+#: ``test_gather_crossover_summary`` in
+#: ``benchmarks/bench_coding_throughput.py`` prints the sweep.
+TAKE_GATHER_MIN_ELEMENTS = 1024
+
 
 class GField:
     """The finite field GF(2^w) for w in {4, 8, 16}.
@@ -137,13 +147,23 @@ class GField:
 
         ``constants`` has shape ``(S,)`` and ``plane`` shape ``(S, L)``;
         the result has the plane's shape and the field's element dtype.
-        For ``w <= 8`` this is a single fancy-index gather into the full
-        multiplication table; for w = 16 it goes through the log/antilog
-        tables with explicit zero masking.
+        For ``w <= 8`` rows shorter than :data:`TAKE_GATHER_MIN_ELEMENTS`
+        take a single fancy-index gather into the full multiplication
+        table, and longer rows one 1-D ``np.take`` per constant.  For
+        w = 16 it goes through the log/antilog tables with explicit zero
+        masking.
         """
         constants = np.asarray(constants, dtype=np.int64)
         if self._mul_table is not None:
-            return self._mul_table[constants[:, None], plane]
+            if plane.shape[-1] < TAKE_GATHER_MIN_ELEMENTS:
+                return self._mul_table[constants[:, None], plane]
+            out = np.empty(plane.shape, dtype=self._mul_table.dtype)
+            # mode="raise" keeps an out-of-range element an IndexError, as
+            # in the fancy index; "wrap" or "clip" would return wrong
+            # products silently.
+            for row, src, dst in zip(self._mul_table[constants], plane, out):
+                np.take(row, src, out=dst, mode="raise")
+            return out
         logs = (self._log[plane].astype(np.int64)
                 + self._log[constants].astype(np.int64)[:, None])
         out = self._exp[logs].astype(self.element_dtype)
@@ -157,12 +177,21 @@ class GField:
         ``constants`` has shape ``(T,)``; the result has shape
         ``(T, *data.shape)``.  With 1-D ``data`` this is the classical
         GF outer product used by the vectorised Gaussian elimination.
+        For ``w <= 8``, ``data`` smaller than
+        :data:`TAKE_GATHER_MIN_ELEMENTS` is gathered in one fancy index
+        and larger ``data`` with one ``np.take`` per constant.
         """
         constants = np.asarray(constants, dtype=np.int64)
         if self._mul_table is not None:
-            # mul_table[c] is the per-constant lookup row; indexing it by
-            # the data array broadcasts to (T, *data.shape) in one gather.
-            return self._mul_table[constants][:, data]
+            if data.size < TAKE_GATHER_MIN_ELEMENTS:
+                # mul_table[c] is the per-constant lookup row; indexing it
+                # by the data array broadcasts to (T, *data.shape) at once.
+                return self._mul_table[constants][:, data]
+            out = np.empty((len(constants),) + data.shape,
+                           dtype=self._mul_table.dtype)
+            for row, dst in zip(self._mul_table[constants], out):
+                np.take(row, data, out=dst, mode="raise")
+            return out
         logs = (self._log[data].astype(np.int64)[None, ...]
                 + self._log[constants].astype(np.int64).reshape(
                     (-1,) + (1,) * data.ndim))

@@ -12,8 +12,13 @@ Two execution paths share one counting contract:
 * the **bulk stripe-planar path** (:class:`RegionOps`, the default):
   symbols are stacked into a 2-D ``(num_symbols, region_len)`` byte
   plane and whole linear combinations are computed with one table-row
-  gather per coefficient row (``mul_table[c]`` fancy-indexing) followed
-  by ``np.bitwise_xor.reduce``; and
+  gather per coefficient row followed by ``np.bitwise_xor.reduce``.
+  The gather is :meth:`~repro.gf.field.GField.mul_rows` or
+  :meth:`~repro.gf.field.GField.mul_gather`: one 2-D fancy index into
+  ``mul_table`` below
+  :data:`~repro.gf.field.TAKE_GATHER_MIN_ELEMENTS` elements per call,
+  where its single call is cheapest, and one 1-D ``np.take`` per
+  coefficient from there on, where its lower per-element cost wins; and
 * the **scalar reference path** (:class:`ReferenceRegionOps`): every
   field multiplication is performed element-at-a-time through
   :meth:`~repro.gf.field.GField.mul`.  It is deliberately simple and
@@ -233,9 +238,9 @@ class RegionOps:
         ``matrix`` has shape ``(P, S)`` and ``plane`` shape ``(S, L)``;
         the result is the ``(P, L)`` plane whose row ``p`` is
         ``sum_j matrix[p, j] * plane[j]``.  Each output row costs one
-        table-row gather over the non-zero coefficients plus one
-        ``np.bitwise_xor.reduce`` -- the single-gather kernel the whole
-        coding layer routes through.
+        :meth:`~repro.gf.field.GField.mul_rows` gather over the non-zero
+        coefficients plus one ``np.bitwise_xor.reduce`` -- the kernel the
+        whole coding layer routes through.
         """
         matrix = np.asarray(matrix, dtype=np.int64)
         plane = np.asarray(plane)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.gf.field import GField, default_field, get_field
+from repro.gf.field import (TAKE_GATHER_MIN_ELEMENTS, GField, default_field,
+                            get_field)
 from repro.gf.tables import PRIMITIVE_POLYNOMIALS, SUPPORTED_WORD_SIZES, get_tables
 
 
@@ -164,6 +165,62 @@ class TestVectorOperations:
     def test_dot_all_zero_coefficients(self, field):
         vectors = [np.ones(8, dtype=field.element_dtype)] * 2
         assert not field.dot([0, 0], vectors).any()
+
+
+@pytest.mark.parametrize("w", [4, 8])
+@pytest.mark.parametrize("size", [TAKE_GATHER_MIN_ELEMENTS - 1,
+                                  TAKE_GATHER_MIN_ELEMENTS])
+class TestGatherCrossover:
+    """``mul_rows`` and ``mul_gather`` use a 2-D fancy index below the
+    crossover and one ``np.take`` per constant from it on; both sides must
+    give the products ``mul_elementwise`` gives."""
+
+    @staticmethod
+    def constants(field):
+        return np.array([0, 1, 2, field.order - 1, 7], dtype=np.int64)
+
+    @staticmethod
+    def expected_takes(size, constants):
+        if size < TAKE_GATHER_MIN_ELEMENTS:
+            return []
+        return ["raise"] * len(constants)
+
+    def test_mul_rows_matches_elementwise(self, w, size, take_calls):
+        field = get_field(w)
+        constants = self.constants(field)
+        rng = np.random.default_rng(size + w)
+        plane = rng.integers(0, field.order, (len(constants), size),
+                             dtype=field.element_dtype)
+        out = field.mul_rows(constants, plane)
+        assert out.dtype == field.element_dtype
+        assert np.array_equal(
+            out, field.mul_elementwise(constants[:, None], plane))
+        assert take_calls == self.expected_takes(size, constants)
+
+    def test_mul_gather_matches_elementwise(self, w, size, take_calls):
+        field = get_field(w)
+        constants = self.constants(field)
+        rng = np.random.default_rng(size + w + 1)
+        flat = rng.integers(0, field.order, size, dtype=field.element_dtype)
+        # A strided 2-D view, like the batch column matrix_vector_planes
+        # hands over, and the contiguous 1-D vector GFMatrix uses.
+        strided = np.stack([flat, flat[::-1]], axis=1)[:, :1]
+        for data in (flat, strided):
+            out = field.mul_gather(constants, data)
+            assert out.shape == (len(constants),) + data.shape
+            assert out.dtype == field.element_dtype
+            shaped = constants.reshape((-1,) + (1,) * data.ndim)
+            assert np.array_equal(out, field.mul_elementwise(shaped, data))
+        assert take_calls == 2 * self.expected_takes(size, constants)
+
+    def test_out_of_range_element_raises(self, w, size):
+        field = get_field(w)
+        plane = np.zeros((2, size), dtype=np.uint16)
+        plane[1, -1] = field.order
+        with pytest.raises(IndexError):
+            field.mul_rows(np.array([3, 5]), plane)
+        with pytest.raises(IndexError):
+            field.mul_gather(np.array([3, 5]), plane[1])
 
 
 class TestTables:

@@ -15,7 +15,11 @@ wrong.  Every fuzz case here asserts two things at once:
 
 Each kernel sees >= 200 randomized cases across GF(2^4), GF(2^8) and
 GF(2^16), with coefficient distributions deliberately biased toward 0 and
-1 to exercise the skip/XOR special cases.  On top of the kernel-level
+1 to exercise the skip/XOR special cases.  Those regions are short, so
+they stay on the fancy-index gather of ``GField.mul_rows`` and
+``mul_gather``; a few fixed cases on either side of
+``TAKE_GATHER_MIN_ELEMENTS`` also pin the per-constant ``np.take``
+gather to the scalar path.  On top of the kernel-level
 fuzz, full encode -> erase -> decode round-trips drive the STAIR, RS, SD
 and IDR engines end-to-end on both backends and require identical
 recovered stripes and identical counters -- which pins the paper's
@@ -29,7 +33,7 @@ from repro.codes import (IDRScheme, ReedSolomonStripeCode, SDCode,
                          StairStripeCode)
 from repro.core.exceptions import DecodingFailureError
 from repro.core.stair import StairCode
-from repro.gf.field import get_field
+from repro.gf.field import TAKE_GATHER_MIN_ELEMENTS, get_field
 from repro.gf.regions import OperationCounter, ReferenceRegionOps, RegionOps
 
 WORD_SIZES = (4, 8, 16)
@@ -152,6 +156,82 @@ class TestKernelFuzz:
 
             assert np.array_equal(out_bulk, out_ref)
             assert bulk.counter.snapshot() == ref.counter.snapshot()
+
+
+def crossover_matrix(field):
+    """A fixed (2, 3) coefficient matrix holding 0, 1 and three others."""
+    return np.array([[0, 1, 2], [field.order - 1, 3, 0]], dtype=np.int64)
+
+
+@pytest.mark.parametrize("w", WORD_SIZES)
+@pytest.mark.parametrize("elements", [TAKE_GATHER_MIN_ELEMENTS - 1,
+                                      TAKE_GATHER_MIN_ELEMENTS])
+class TestCrossoverFuzz:
+    """Gathers of exactly crossover - 1 and crossover elements.
+
+    Each case also asserts which gather ran: ``np.take`` from the
+    crossover on for w <= 8, the fancy index below it, and the
+    log/antilog path (no ``np.take``) for w = 16 on both sides.
+    """
+
+    @staticmethod
+    def assert_path(w, elements, take_calls):
+        uses_take = w <= 8 and elements >= TAKE_GATHER_MIN_ELEMENTS
+        assert bool(take_calls) == uses_take
+
+    def test_mult_xor_plane(self, w, elements, take_calls):
+        bulk, ref = make_pair(w)
+        rng = np.random.default_rng(6000 + w + elements)
+        constants = np.array([0, 1, 2, bulk.field.order - 1])
+        src = random_plane(rng, bulk.field, len(constants), elements)
+        dst = random_plane(rng, bulk.field, len(constants), elements)
+
+        dst_bulk = dst.copy()
+        bulk.mult_xor_plane(src, dst_bulk, constants)
+        self.assert_path(w, elements, take_calls)
+
+        dst_ref = dst.copy()
+        for i, c in enumerate(constants):
+            ref.mult_xor(src[i], dst_ref[i], int(c))
+
+        assert np.array_equal(dst_bulk, dst_ref)
+        assert bulk.counter.snapshot() == ref.counter.snapshot()
+
+    def test_matrix_vector_plane(self, w, elements, take_calls):
+        bulk, ref = make_pair(w)
+        rng = np.random.default_rng(7000 + w + elements)
+        matrix = crossover_matrix(bulk.field)
+        plane = random_plane(rng, bulk.field, matrix.shape[1], elements)
+
+        out_bulk = bulk.matrix_vector_plane(matrix, plane)
+        self.assert_path(w, elements, take_calls)
+        out_ref = ref.matrix_vector(matrix, list(plane))
+
+        assert np.array_equal(out_bulk, np.stack(out_ref))
+        assert bulk.counter.snapshot() == ref.counter.snapshot()
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_matrix_vector_planes(self, w, elements, batch, take_calls):
+        """With batch 2 each region is about half the crossover, so only
+        batch x length decides which side of it the gather falls on."""
+        bulk, ref = make_pair(w)
+        rng = np.random.default_rng(8000 + w + elements + batch)
+        length = elements // batch
+        assert ((batch * length >= TAKE_GATHER_MIN_ELEMENTS)
+                == (elements >= TAKE_GATHER_MIN_ELEMENTS))
+        matrix = crossover_matrix(bulk.field)
+        planes = rng.integers(0, bulk.field.order,
+                              size=(batch, matrix.shape[1], length),
+                              dtype=bulk.field.element_dtype)
+
+        out_bulk = bulk.matrix_vector_planes(matrix, planes)
+        self.assert_path(w, elements, take_calls)
+        out_ref = ref.matrix_vector_batch(
+            matrix, [list(plane) for plane in planes])
+
+        for b in range(batch):
+            assert np.array_equal(out_bulk[b], np.stack(out_ref[b]))
+        assert bulk.counter.snapshot() == ref.counter.snapshot()
 
 
 # --------------------------------------------------------------------- #
