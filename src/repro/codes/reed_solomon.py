@@ -72,28 +72,19 @@ class ReedSolomonStripeCode(StripeCode):
         return grid
 
     def decode(self, stripe: Grid) -> Grid:
-        ops = self.ops_class(self.field, self.counter)
         rows = [list(row) for row in stripe]
-        # Group damaged rows by erasure pattern: rows sharing a pattern
-        # (the common case -- whole-device failures) are repaired with one
-        # batched bulk-kernel call instead of one recovery per row.
-        by_pattern: dict[tuple[int, ...], list[int]] = {}
         for i, row in enumerate(rows):
-            missing = tuple(j for j in range(self._n) if row[j] is None)
+            missing = [j for j in range(self._n) if row[j] is None]
             if len(missing) > self.m:
                 raise DecodingFailureError(
                     f"row {i} has {len(missing)} lost symbols; "
                     f"RS with m={self.m} parity devices cannot recover it",
                     unrecovered=[(i, j) for j in missing],
                 )
-            if missing:
-                by_pattern.setdefault(missing, []).append(i)
-        for missing, row_indices in by_pattern.items():
-            recovered = self.code.recover_many(
-                [rows[i] for i in row_indices], ops, wanted=list(missing))
-            for i, row_recovered in zip(row_indices, recovered):
-                for j, symbol in row_recovered.items():
-                    rows[i][j] = symbol
+        ops = self.ops_class(self.field, self.counter)
+        for row, recovered in zip(rows, self.code.recover_many(rows, ops)):
+            for j, symbol in recovered.items():
+                row[j] = symbol
         return [[np.asarray(cell) for cell in row] for row in rows]
 
     def update_penalty(self) -> float:

@@ -15,12 +15,17 @@ this grid -- "recover unknown cells of a row via C_row" and "recover
 unknown cells of a column via C_col".  :class:`CanonicalStripe` implements
 the grid and those primitives, and records every step so the schedules of
 Tables 2 and 3 can be asserted in tests.
+
+``recover_row``, ``recover_rows`` and ``recover_col`` share one body: it
+hands the lines to :meth:`~repro.rs.systematic.SystematicMDSCode.recover_many`
+of the line's code, which batches lines sharing an erasure pattern, and
+records one step per line that gained cells, in ascending line order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -157,51 +162,17 @@ class CanonicalStripe:
         ``targets`` restricts recovery to specific columns (default: every
         unknown cell in the row).  Requires at least ``n - m`` known cells.
         """
-        codeword: list[Optional[np.ndarray]] = list(self.cells[row])
-        wanted = list(targets) if targets is not None else None
-        recovered = self.crow.recover(codeword, self.ops, wanted=wanted)
-        filled = []
-        for col, symbol in recovered.items():
-            self.set(row, col, symbol)
-            filled.append((row, col))
-        if filled:
-            self.steps.append(ScheduleStep("row", row, tuple(sorted(filled))))
-        return filled
+        return self._recover_lines("row", {row: targets})
 
-    def recover_rows(self, row_targets: dict[int, Sequence[int]],
+    def recover_rows(self, row_targets: Mapping[int, Sequence[int] | None],
                      ) -> list[tuple[int, int]]:
-        """Batched :meth:`recover_row` over many grid rows at once.
+        """:meth:`recover_row` over many grid rows in one ``recover_many``
+        call, which batches rows sharing an erasure pattern and targets.
 
-        Rows sharing an erasure pattern and target set are recovered with
-        one bulk-kernel batch through ``C_row.recover_many``.  Recovered
-        values, recorded schedule steps (ascending row order) and counter
-        totals are identical to calling :meth:`recover_row` row by row;
-        the rows must be independent (no row's targets feed another's
+        The rows must be independent (no row's targets feed another's
         sources), which holds for the decoder's deferred-chunk rebuild.
         """
-        groups: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {}
-        for row in sorted(row_targets):
-            missing = tuple(c for c in range(self.cols)
-                            if self.cells[row][c] is None)
-            wanted = tuple(sorted(row_targets[row]))
-            groups.setdefault((missing, wanted), []).append(row)
-        recovered_per_row: dict[int, dict[int, np.ndarray]] = {}
-        for (missing, wanted), rows in groups.items():
-            batches = self.crow.recover_many(
-                [list(self.cells[row]) for row in rows], self.ops,
-                wanted=list(wanted))
-            for row, recovered in zip(rows, batches):
-                recovered_per_row[row] = recovered
-        filled_all = []
-        for row in sorted(row_targets):
-            filled = []
-            for col, symbol in recovered_per_row.get(row, {}).items():
-                self.set(row, col, symbol)
-                filled.append((row, col))
-            if filled:
-                self.steps.append(ScheduleStep("row", row, tuple(sorted(filled))))
-            filled_all.extend(filled)
-        return filled_all
+        return self._recover_lines("row", row_targets)
 
     def recover_col(self, col: int,
                     targets: Sequence[int] | None = None) -> list[tuple[int, int]]:
@@ -214,18 +185,38 @@ class CanonicalStripe:
             raise DecodingFailureError(
                 "configuration has no column code (e is empty)"
             )
-        codeword: list[Optional[np.ndarray]] = [
-            self.cells[row][col] for row in range(self.rows)
-        ]
-        wanted = list(targets) if targets is not None else None
-        recovered = self.ccol.recover(codeword, self.ops, wanted=wanted)
-        filled = []
-        for row, symbol in recovered.items():
-            self.set(row, col, symbol)
-            filled.append((row, col))
-        if filled:
-            self.steps.append(ScheduleStep("col", col, tuple(sorted(filled))))
-        return filled
+        return self._recover_lines("col", {col: targets})
+
+    def _recover_lines(self, kind: str,
+                       line_targets: Mapping[int, Sequence[int] | None],
+                       ) -> list[tuple[int, int]]:
+        """The one body behind the row and column primitives.
+
+        Fills the recovered cells and records one :class:`ScheduleStep`
+        per line that gained cells, in ascending line order.
+        """
+        lines = sorted(line_targets)
+        if kind == "row":
+            code = self.crow
+            codewords = [self.cells[row] for row in lines]
+        else:
+            code = self.ccol
+            codewords = [[cells[col] for cells in self.cells] for col in lines]
+        recovered = code.recover_many(codewords, self.ops,
+                                      [line_targets[line] for line in lines])
+        filled_all = []
+        for line, symbols in zip(lines, recovered):
+            if not symbols:
+                continue
+            if kind == "row":
+                filled = [(line, pos) for pos in symbols]
+            else:
+                filled = [(pos, line) for pos in symbols]
+            for (row, col), symbol in zip(filled, symbols.values()):
+                self.cells[row][col] = symbol
+            self.steps.append(ScheduleStep(kind, line, tuple(sorted(filled))))
+            filled_all.extend(filled)
+        return filled_all
 
     def can_recover_row(self, row: int) -> bool:
         """True if grid row ``row`` has enough known cells for C_row recovery."""

@@ -4,15 +4,17 @@ The decoder recovers a damaged stripe in two phases:
 
 1. **Row-local repair** -- any stripe row with at most ``m`` lost symbols
    is repaired with its row parity symbols alone, because such decoding
-   only touches the symbols of that row.
-2. **Global (upstairs) repair** -- the remaining failure pattern is mapped
-   onto the canonical stripe.  The ``m`` chunks with the most remaining
-   losses are deferred (they will be rebuilt row-by-row at the very end,
-   like entirely failed devices); the other damaged chunks must fit the
-   sector-failure coverage ``e``.  The upstairs schedule then alternates
-   between recovering chunk columns bottom-up (via ``C_col``) and
-   augmented rows (via ``C_row``), exactly as in Figure 4 / Table 2 of
-   the paper, until every stored symbol is known.
+   only touches the symbols of that row.  All such rows go through one
+   ``C_row.recover_many`` call, which batches rows sharing an erasure
+   pattern.
+2. **Global (upstairs) repair** -- the remaining failure pattern must
+   pass :func:`check_coverage`.  It is mapped onto the canonical stripe
+   and the ``m`` chunks with the most remaining losses are deferred
+   (they are rebuilt row by row at the very end, in one batched
+   ``recover_rows`` call, like entirely failed devices).  The upstairs
+   schedule alternates between recovering chunk columns bottom-up (via
+   ``C_col``) and augmented rows (via ``C_row``), exactly as in Figure 4
+   / Table 2 of the paper, until every sector-failed chunk is whole.
 
 The same upstairs schedule doubles as the *upstairs encoder* (§5.1.1):
 encoding is decoding with the parity positions treated as lost and the
@@ -30,7 +32,7 @@ from repro.core.config import StairConfig
 from repro.core.exceptions import DecodingFailureError
 from repro.core.layout import StripeLayout
 from repro.gf.regions import RegionOps
-from repro.rs.systematic import SystematicMDSCode, UnrecoverableErasureError
+from repro.rs.systematic import SystematicMDSCode
 
 Grid = Sequence[Sequence[Optional[np.ndarray]]]
 
@@ -134,31 +136,21 @@ class StairDecoder:
                           ops: RegionOps) -> None:
         """Repair every row with at most m lost symbols using C_row alone.
 
-        Rows sharing the same erasure pattern (the common case when whole
-        devices fail) are stacked and repaired with one batched bulk-kernel
-        call, bit- and counter-identical to repairing them one by one.
+        All such rows go through one ``recover_many`` call, which batches
+        the rows sharing an erasure pattern (whole failed devices).
         """
         n, m = self.config.n, self.config.m
-        by_pattern: dict[tuple[int, ...], list[int]] = {}
-        for i in range(self.config.r):
-            missing = tuple(j for j in range(n) if working[i][j] is None)
-            if missing and len(missing) <= m:
-                by_pattern.setdefault(missing, []).append(i)
-        for missing, row_indices in by_pattern.items():
-            # Build the C_row codewords: the m' intermediate parity positions
-            # are never stored, so they are always unknown here.
-            codewords: list[list[Optional[np.ndarray]]] = [
-                list(working[i]) + [None] * self.config.m_prime
-                for i in row_indices
-            ]
-            try:
-                recovered = self.crow.recover_many(codewords, ops,
-                                                   wanted=list(missing))
-            except UnrecoverableErasureError:  # pragma: no cover - guarded above
-                continue
-            for i, row_recovered in zip(row_indices, recovered):
-                for j, symbol in row_recovered.items():
-                    working[i][j] = symbol
+        rows = [i for i in range(self.config.r)
+                if 0 < sum(cell is None for cell in working[i]) <= m]
+        # The m' intermediate parity positions of a C_row codeword are
+        # never stored, so they are unknown here; only the stored
+        # positions 0 .. n-1 are wanted.
+        codewords = [working[i] + [None] * self.config.m_prime for i in rows]
+        recovered = self.crow.recover_many(codewords, ops,
+                                           [range(n)] * len(rows))
+        for i, row_recovered in zip(rows, recovered):
+            for j, symbol in row_recovered.items():
+                working[i][j] = symbol
 
     # ------------------------------------------------------------------ #
     # Phase 2: global upstairs repair
@@ -168,32 +160,17 @@ class StairDecoder:
                        symbol_size: int,
                        outside_globals: Sequence[Sequence[np.ndarray]] | None,
                        ) -> list[list[np.ndarray]]:
+        if not check_coverage(self.config, lost):
+            raise DecodingFailureError(
+                "failure pattern exceeds the coverage of m="
+                f"{self.config.m}, e={self.config.e}", unrecovered=lost)
+        # Defer the m chunks with the most losses: they are rebuilt row by
+        # row at the end, exactly like entirely failed devices.
         losses_per_chunk: dict[int, int] = {}
         for _, col in lost:
             losses_per_chunk[col] = losses_per_chunk.get(col, 0) + 1
-
-        # Defer the m chunks with the most losses: they are rebuilt row by
-        # row at the end, exactly like entirely failed devices.
-        by_damage = sorted(losses_per_chunk, key=lambda c: losses_per_chunk[c],
-                           reverse=True)
-        deferred = set(by_damage[: self.config.m])
-        sector_chunks = [c for c in by_damage[self.config.m:]]
-
-        # The non-deferred damage must fit the e coverage.
-        remaining_counts = sorted((losses_per_chunk[c] for c in sector_chunks),
-                                  reverse=True)
-        e_desc = sorted(self.config.e, reverse=True)
-        if len(remaining_counts) > len(e_desc) or any(
-                count > e_desc[i] for i, count in enumerate(remaining_counts)):
-            raise DecodingFailureError(
-                "failure pattern exceeds the sector-failure coverage e="
-                f"{self.config.e}: per-chunk losses {losses_per_chunk}",
-                unrecovered=lost,
-            )
-        if sector_chunks and self.ccol is None:
-            raise DecodingFailureError(
-                "sector failures present but the configuration has no "
-                "global parities (e is empty)", unrecovered=lost)
+        deferred = set(sorted(losses_per_chunk, key=losses_per_chunk.__getitem__,
+                              reverse=True)[: self.config.m])
 
         grid = CanonicalStripe(self.config, self.layout, self.crow, self.ccol, ops)
         grid.load_stripe(working)
@@ -203,12 +180,11 @@ class StairDecoder:
 
         self._upstairs_schedule(grid, deferred)
 
-        # Finally rebuild the deferred chunks row by row via C_row.  Rows
-        # sharing an erasure pattern (whole failed devices) go through one
-        # batched bulk-kernel recovery.
-        row_targets: dict[int, Sequence[int]] = {}
+        # Finally rebuild the deferred chunks row by row via C_row, in one
+        # batched recovery.
+        row_targets: dict[int, list[int]] = {}
         for i in range(self.config.r):
-            targets = [j for j in deferred if not grid.is_known(i, j)]
+            targets = [j for j in sorted(deferred) if not grid.is_known(i, j)]
             if not targets:
                 continue
             if not grid.can_recover_row(i):
@@ -217,8 +193,7 @@ class StairDecoder:
                     unrecovered=[(i, j) for j in targets],
                 )
             row_targets[i] = targets
-        if row_targets:
-            grid.recover_rows(row_targets)
+        grid.recover_rows(row_targets)
 
         stripe = grid.extract_stripe()
         self._last_steps = grid.steps

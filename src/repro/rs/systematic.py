@@ -17,7 +17,7 @@ Two views are provided:
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -106,85 +106,72 @@ class SystematicMDSCode:
     def recover(self, codeword: Sequence[Optional[np.ndarray]],
                 ops: RegionOps | None = None,
                 wanted: Sequence[int] | None = None) -> dict[int, np.ndarray]:
-        """Recover erased symbols of a codeword.
+        """Recover erased symbols of one codeword.
 
-        Parameters
-        ----------
-        codeword:
-            Length-η sequence where missing symbols are ``None``.
-        ops:
-            Region-operation context (supplies the Mult_XOR counter).
-        wanted:
-            Optional subset of positions to recover; defaults to every
-            missing position.  Restricting the set is what lets the STAIR
-            schedulers recover only the virtual symbols they need.
-
-        Returns
-        -------
-        dict mapping recovered position -> symbol.
+        ``codeword`` is a length-η sequence with ``None`` at the missing
+        symbols; ``wanted`` optionally restricts recovery to a subset of
+        positions (default: every missing one), which is what lets the
+        STAIR schedulers recover only the virtual symbols they need.
+        Returns a dict mapping recovered position -> symbol; see
+        :meth:`recover_many`, which does the work.
         """
-        if len(codeword) != self.length:
-            raise ValueError(
-                f"codeword length {len(codeword)} != {self.length}"
-            )
-        ops = ops or RegionOps(self.field)
-        known = [i for i, sym in enumerate(codeword) if sym is not None]
-        missing = [i for i, sym in enumerate(codeword) if sym is None]
-        targets = list(wanted) if wanted is not None else missing
-        targets = [t for t in targets if codeword[t] is None]
-        if not targets:
-            return {}
-        if len(known) < self.dimension:
-            raise UnrecoverableErasureError(
-                f"only {len(known)} of {self.dimension} required symbols available"
-            )
-        basis = tuple(known[: self.dimension])
-        coeffs = self.decode_matrix(basis, tuple(targets))
-        basis_symbols = [codeword[i] for i in basis]
-        recovered = ops.matrix_vector(coeffs, basis_symbols)
-        return dict(zip(targets, recovered))
+        return self.recover_many([codeword], ops, [wanted])[0]
 
     def recover_many(self, codewords: Sequence[Sequence[Optional[np.ndarray]]],
                      ops: RegionOps | None = None,
-                     wanted: Sequence[int] | None = None,
+                     wanted: Sequence[Sequence[int] | None] | None = None,
                      ) -> list[dict[int, np.ndarray]]:
-        """Recover the *same* erasure pattern across many codewords at once.
+        """Recover erased symbols of many codewords, one dict per codeword.
 
-        Every codeword must have ``None`` at exactly the same positions.
-        The decode matrix is computed once and applied to the whole batch
-        with one gather per matrix column, which is how the decoder's
-        row-local repair phase processes all rows of a stripe that share
-        a failure pattern.  Bit- and counter-identical to calling
-        :meth:`recover` once per codeword.
+        ``wanted[k]``, when given and not ``None``, restricts codeword
+        ``k`` to those positions; known positions in it are ignored.
+        Codewords are grouped by (erasure pattern, targets): each group
+        computes its decode matrix once and applies it with one
+        ``matrix_vector`` (a single codeword) or one
+        ``matrix_vector_batch`` (several), so the rows of a stripe lost
+        on the same devices repair in a single bulk-kernel call.  Bit-
+        and counter-identical to recovering the codewords one by one.
+
+        Raises
+        ------
+        ValueError
+            If a codeword does not have η symbols.
+        UnrecoverableErasureError
+            If a codeword with something to recover has fewer than κ
+            known symbols.
         """
-        if not len(codewords):
-            return []
-        first = codewords[0]
-        if len(first) != self.length:
-            raise ValueError(
-                f"codeword length {len(first)} != {self.length}"
-            )
-        known = [i for i, sym in enumerate(first) if sym is not None]
-        missing = [i for i, sym in enumerate(first) if sym is None]
-        for cw in codewords[1:]:
-            if [i for i, sym in enumerate(cw) if sym is None] != missing:
-                raise ValueError(
-                    "recover_many requires an identical erasure pattern "
-                    "across all codewords")
-        targets = list(wanted) if wanted is not None else missing
-        targets = [t for t in targets if first[t] is None]
-        if not targets:
-            return [{} for _ in codewords]
-        if len(known) < self.dimension:
-            raise UnrecoverableErasureError(
-                f"only {len(known)} of {self.dimension} required symbols available"
-            )
         ops = ops or RegionOps(self.field)
-        basis = tuple(known[: self.dimension])
-        coeffs = self.decode_matrix(basis, tuple(targets))
-        batches = ops.matrix_vector_batch(
-            coeffs, [[cw[i] for i in basis] for cw in codewords])
-        return [dict(zip(targets, recovered)) for recovered in batches]
+        groups: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {}
+        for index, codeword in enumerate(codewords):
+            if len(codeword) != self.length:
+                raise ValueError(
+                    f"codeword length {len(codeword)} != {self.length}"
+                )
+            missing = tuple([i for i, sym in enumerate(codeword) if sym is None])
+            targets = None if wanted is None else wanted[index]
+            targets = missing if targets is None else tuple(
+                [t for t in targets if codeword[t] is None])
+            if targets:
+                groups.setdefault((missing, targets), []).append(index)
+        results: list[dict[int, np.ndarray]] = [{} for _ in codewords]
+        for (missing, targets), members in groups.items():
+            if self.length - len(missing) < self.dimension:
+                raise UnrecoverableErasureError(
+                    f"only {self.length - len(missing)} of {self.dimension} "
+                    "required symbols available"
+                )
+            basis = tuple([i for i in range(self.length)
+                           if i not in missing][: self.dimension])
+            coeffs = self.decode_matrix(basis, targets)
+            if len(members) == 1:
+                outputs = [ops.matrix_vector(
+                    coeffs, [codewords[members[0]][i] for i in basis])]
+            else:
+                outputs = ops.matrix_vector_batch(
+                    coeffs, [[codewords[k][i] for i in basis] for k in members])
+            for k, recovered in zip(members, outputs):
+                results[k] = dict(zip(targets, recovered))
+        return results
 
     def recover_all(self, codeword: Sequence[Optional[np.ndarray]],
                     ops: RegionOps | None = None) -> list[np.ndarray]:
@@ -211,6 +198,10 @@ class SystematicMDSCode:
         schedulers repeat the same recovery pattern for every row/column
         of a stripe.
         """
+        key = (tuple(known_positions), tuple(unknown_positions))
+        cached = self._decode_cache.get(key)
+        if cached is not None:
+            return cached
         known = tuple(int(p) for p in known_positions)
         unknown = tuple(int(p) for p in unknown_positions)
         if len(known) != self.dimension:
@@ -219,11 +210,6 @@ class SystematicMDSCode:
             )
         if len(set(known)) != len(known):
             raise ValueError("known positions must be distinct")
-        key = (known, unknown)
-        cached = self._decode_cache.get(key)
-        if cached is not None:
-            return cached
-
         sub_known = self.generator.submatrix(range(self.dimension), known)
         try:
             inv = sub_known.inverse()

@@ -259,12 +259,15 @@ class StoreCluster:
 
         Returns once placement is decided (mirrors updated, writes
         enqueued in order); the ticket's ``settled()`` awaits the
-        data-plane delivery acks.
+        data-plane delivery acks.  An overwrite with fewer stripes
+        drops the old surplus stripes from every node.
         """
         ticket = PutTicket(key)
         async with self.shards.lock(key):
             if self._repairs_in_flight:
                 self.report.interfered_ops += 1
+            old_stripes = (self.shards.meta(key).stripes
+                           if key in self.shards else 0)
             chunks = self.codec.encode_object(data)
             for stripe_index, columns in enumerate(chunks):
                 written = await asyncio.gather(*[
@@ -278,6 +281,10 @@ class StoreCluster:
                     self._damage.set()
                 else:
                     self._suspect_stripes.discard((key, stripe_index))
+            for stripe_index in range(len(chunks), old_stripes):
+                for node in self.nodes:
+                    node.drop_chunk(key, stripe_index)
+                self._suspect_stripes.discard((key, stripe_index))
             self.shards.set_meta(
                 key, ObjectMeta(size=len(data), stripes=len(chunks)))
             self.report.puts += 1
@@ -478,8 +485,12 @@ class StoreCluster:
     async def _repair_stripe_locked(
             self, key: str, stripe_index: int,
             on_stripe: Callable[[str, int], None] | None) -> bool:
-        # Re-derive damage at execution time: an earlier repair (or a
-        # fresh crash) may have changed the picture.
+        # Re-derive damage at execution time: an earlier repair, a fresh
+        # crash or an overwrite that shrank the object may have changed
+        # the picture.
+        if stripe_index >= self.shards.meta(key).stripes:
+            self._suspect_stripes.discard((key, stripe_index))
+            return False
         missing = [j for j, node in enumerate(self.nodes)
                    if not node.has_chunk(key, stripe_index)]
         targets = [j for j in missing if self.nodes[j].up]

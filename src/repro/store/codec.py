@@ -14,7 +14,7 @@ Reads invert the mapping.  The *healthy* path never decodes: it fetches
 only the columns that carry data symbols and slices the payload
 straight out of them.  The *degraded* path (any needed column missing)
 fetches every surviving column, rebuilds the full grid with
-``code.decode`` -- the same ``recover_rows``-backed machinery the
+``code.decode`` -- the same ``recover_many``-backed machinery the
 simulator's repair model counts -- and extracts the data positions.
 
 The codec is deliberately stateless: everything is a pure function of

@@ -40,6 +40,7 @@ Usage::
     node = StoreNode(3, transport=await ProcessTransport.spawn())
     await node.put_chunk("key", 0, b"...")
     await node.get_chunk("key", 0)
+    node.drop_chunk("key", 0)  # an overwrite shrank the object
     node.crash()          # chunks gone, node down
     node.restore()        # back up, empty (a replacement device)
 """
@@ -193,6 +194,9 @@ class LocalTransport:
             _deliver(source, out, deadline)
         return out
 
+    def drop(self, key: str, stripe: int) -> None:
+        self._entries.pop((key, stripe), None)
+
     def crash(self) -> None:
         self._entries.clear()
 
@@ -289,17 +293,21 @@ class ProcessTransport:
         _deliver(response, out, deadline, transform=self._check_data)
         return out
 
-    def crash(self) -> None:
+    def _send(self, request: Request) -> None:
+        """Enqueue a request whose only answer is an OK ack."""
         ack = asyncio.get_running_loop().create_future()
-        _deliver(self.client.call(Request(rpc.OP_CRASH)), ack, None,
+        _deliver(self.client.call(request), ack, None,
                  transform=lambda resp: self._check_ok(resp))
         self._acks.track(ack)
 
+    def drop(self, key: str, stripe: int) -> None:
+        self._send(Request(rpc.OP_DROP, key, stripe))
+
+    def crash(self) -> None:
+        self._send(Request(rpc.OP_CRASH))
+
     def restore(self) -> None:
-        ack = asyncio.get_running_loop().create_future()
-        _deliver(self.client.call(Request(rpc.OP_RESTORE)), ack, None,
-                 transform=lambda resp: self._check_ok(resp))
-        self._acks.track(ack)
+        self._send(Request(rpc.OP_RESTORE))
 
     async def stat(self) -> tuple[int, int]:
         status, payload = await self.client.call(Request(rpc.OP_STAT))
@@ -426,6 +434,12 @@ class StoreNode:
     # ------------------------------------------------------------------ #
     def has_chunk(self, key: str, stripe: int) -> bool:
         return self.up and (key, stripe) in self._present
+
+    def drop_chunk(self, key: str, stripe: int) -> None:
+        """Forget a chunk its object no longer uses (an overwrite shrank
+        the object); the transport drops the bytes in decision order."""
+        if self._present.pop((key, stripe), None) is not None:
+            self.transport.drop(key, stripe)
 
     def crash(self) -> None:
         """Fail the device: all stored chunks are lost."""

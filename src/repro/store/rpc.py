@@ -6,9 +6,9 @@ This module is both halves of the store's out-of-process data plane:
   prefix followed by exactly that many body bytes, so a reader either
   delivers a whole frame or raises :class:`RpcProtocolError`; torn
   chunks are structurally impossible.  Requests are ``put_chunk`` /
-  ``get_chunk`` / ``crash`` / ``restore`` / ``stat`` / ``shutdown``
-  (opcode 3 is retired); responses are ``OK`` (with an optional
-  payload), ``MISSING`` or ``ERR``;
+  ``get_chunk`` / ``crash`` / ``restore`` / ``stat`` / ``shutdown`` /
+  ``drop_chunk`` (opcode 3 is retired); responses are ``OK`` (with an
+  optional payload), ``MISSING`` or ``ERR``;
 * the **chunk server** -- the ``python -m repro.store.rpc`` entry point
   a :class:`~repro.store.node.ProcessTransport` spawns, one subprocess
   per store node.  The server is a deliberately dumb byte warehouse
@@ -52,8 +52,10 @@ OP_CRASH = 4
 OP_RESTORE = 5
 OP_STAT = 6
 OP_SHUTDOWN = 7
+OP_DROP = 8
 
-_KNOWN_OPS = (OP_PUT, OP_GET, OP_CRASH, OP_RESTORE, OP_STAT, OP_SHUTDOWN)
+_KNOWN_OPS = (OP_PUT, OP_GET, OP_CRASH, OP_RESTORE, OP_STAT, OP_SHUTDOWN,
+              OP_DROP)
 
 # Response status codes (first body byte).
 STATUS_OK = 0
@@ -324,6 +326,12 @@ class ChunkServer:
             if data is None:
                 return encode_response(STATUS_MISSING), True
             return encode_response(STATUS_OK, data), True
+        if op == OP_DROP:
+            if not self.up:
+                return encode_response(
+                    STATUS_ERR, b"drop while down (mirror desync)"), True
+            self.chunks.pop((key, stripe), None)
+            return encode_response(STATUS_OK), True
         if op == OP_CRASH:
             self.chunks.clear()
             self.up = False

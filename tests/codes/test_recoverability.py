@@ -12,7 +12,10 @@ The rows assert:
 * ``decode`` never returns wrong bytes: it is exact or it raises
   :class:`~repro.core.exceptions.DecodingFailureError`;
 * ``tolerates`` ⇒ ``recoverable``;
-* ``recoverable`` ⇔ ``decode`` succeeds.
+* ``recoverable`` ⇔ ``decode`` succeeds;
+* for STAIR, ``tolerates`` ⇒ the plain (m, e) schedule of
+  ``StairCode.decode`` returns the exact stripe, with no ``solve``
+  fallback to hide a narrowed schedule.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from repro.codes import SDCode, parse_code_spec
+from repro.codes import SDCode, StairStripeCode, parse_code_spec
 from repro.core.exceptions import DecodingFailureError
 from repro.sim.cluster import CoverageModel
 
@@ -46,36 +49,54 @@ class Row:
     tolerated: bool
     recoverable: bool
     outcome: str  # "exact", "wrong" or "failed"
+    #: Outcome of the bare STAIR schedule on a tolerated pattern, else None.
+    scheduled: str | None = None
 
 
-def _table(code) -> list[Row]:
+def _known_stripe(code):
     rng = np.random.default_rng(17)
     data = [rng.integers(0, code.field.order, SYMBOL_SIZE,
                          dtype=code.field.element_dtype)
             for _ in range(code.num_data_symbols)]
-    grid = code.encode(data)
+    return code.encode(data)
+
+
+def _outcome(decode, grid, pattern) -> str:
+    damaged = [list(row) for row in grid]
+    for i, j in pattern:
+        damaged[i][j] = None
+    try:
+        repaired = decode(damaged)
+    except DecodingFailureError:
+        return "failed"
+    exact = all(np.array_equal(got, want)
+                for row_got, row_want in zip(repaired, grid)
+                for got, want in zip(row_got, row_want))
+    return "exact" if exact else "wrong"
+
+
+def _schedule(code):
+    """``StairCode.decode`` alone: the (m, e) schedule, no solve fallback."""
+    return lambda damaged: code.code.decode(damaged).symbols
+
+
+def _table(code) -> list[Row]:
+    grid = _known_stripe(code)
     coverage = CoverageModel.from_code(code)
     cells = [(i, j) for i in range(code.r) for j in range(code.n)]
+    stair = isinstance(code, StairStripeCode)
     rows = []
     for size in range(code.num_parity_symbols + 2):
         for pattern in itertools.combinations(cells, size):
             counts = [0] * code.n
             for _, j in pattern:
                 counts[j] += 1
-            damaged = [list(row) for row in grid]
-            for i, j in pattern:
-                damaged[i][j] = None
-            try:
-                repaired = code.decode(damaged)
-            except DecodingFailureError:
-                outcome = "failed"
-            else:
-                exact = all(np.array_equal(repaired[i][j], grid[i][j])
-                            for i, j in cells)
-                outcome = "exact" if exact else "wrong"
+            tolerated = code.tolerates(pattern)
+            scheduled = (_outcome(_schedule(code), grid, pattern)
+                         if stair and tolerated else None)
             rows.append(Row(pattern, coverage.tolerates_counts(tuple(counts)),
-                            code.tolerates(pattern), code.recoverable(pattern),
-                            outcome))
+                            tolerated, code.recoverable(pattern),
+                            _outcome(code.decode, grid, pattern), scheduled))
     return rows
 
 
@@ -104,6 +125,27 @@ def test_tolerates_implies_recoverable(table):
 def test_recoverable_iff_decode_succeeds(table):
     bad = [row.pattern for row in table
            if row.recoverable != (row.outcome == "exact")]
+    assert not bad, bad[:5]
+
+
+def test_tolerated_stair_patterns_decode_through_the_schedule(table):
+    bad = [row.pattern for row in table
+           if row.scheduled not in (None, "exact")]
+    assert not bad, bad[:5]
+
+
+def test_tolerated_m2_stair_patterns_decode_through_the_schedule():
+    """The same bar for m = 2, where two chunks are deferred: every one
+    of the 3315 non-empty patterns stair(n=5,r=3,m=2,e=(1,)) tolerates."""
+    code = parse_code_spec("stair(n=5,r=3,m=2,e=(1,))")
+    grid = _known_stripe(code)
+    cells = [(i, j) for i in range(code.r) for j in range(code.n)]
+    tolerated = [pattern for size in range(1, code.num_parity_symbols + 1)
+                 for pattern in itertools.combinations(cells, size)
+                 if code.tolerates(pattern)]
+    assert len(tolerated) == 3315
+    bad = [pattern for pattern in tolerated
+           if _outcome(_schedule(code), grid, pattern) != "exact"]
     assert not bad, bad[:5]
 
 

@@ -35,6 +35,8 @@ from repro.core.exceptions import DecodingFailureError
 from repro.core.stair import StairCode
 from repro.gf.field import TAKE_GATHER_MIN_ELEMENTS, get_field
 from repro.gf.regions import OperationCounter, ReferenceRegionOps, RegionOps
+from repro.rs.cauchy import CauchyRSCode
+from repro.rs.vandermonde import VandermondeRSCode
 
 WORD_SIZES = (4, 8, 16)
 #: Cases per word size; 3 word sizes x 70 >= 200 cases per kernel.
@@ -232,6 +234,59 @@ class TestCrossoverFuzz:
         for b in range(batch):
             assert np.array_equal(out_bulk[b], np.stack(out_ref[b]))
         assert bulk.counter.snapshot() == ref.counter.snapshot()
+
+
+# --------------------------------------------------------------------- #
+# Line recovery: one recover_many call vs one recover per codeword
+# --------------------------------------------------------------------- #
+#: (erased positions, wanted) per codeword of a (7, 4) code: a shared
+#: pattern batched three times, the same pattern with narrower targets
+#: (a group of one), other patterns with reordered or partly known
+#: targets, and codewords with nothing to recover.
+MIXED_RECOVERIES = (
+    ((0, 5), None),
+    ((0, 5), None),
+    ((0, 5), None),
+    ((0, 5), [5]),
+    ((1, 2, 6), [6, 2]),
+    ((1, 2, 6), [6, 2]),
+    ((3,), [0, 3]),
+    ((), None),
+    ((4,), []),
+)
+
+
+@pytest.mark.parametrize("w", WORD_SIZES)
+@pytest.mark.parametrize("code_cls", [CauchyRSCode, VandermondeRSCode])
+@pytest.mark.parametrize("ops_cls", [RegionOps, ReferenceRegionOps])
+def test_recover_many_mixed_patterns_match_recover(w, code_cls, ops_cls):
+    """Grouping by (pattern, targets) changes neither bits nor counts."""
+    field = get_field(w)
+    code = code_cls(7, 4, field)
+    rng = np.random.default_rng(9000 + w)
+    words, damaged, wanted = [], [], []
+    for erased, targets in MIXED_RECOVERIES:
+        word = code.encode_codeword(random_plane(rng, field, 4, 16))
+        words.append(word)
+        damaged.append([None if j in erased else sym
+                        for j, sym in enumerate(word)])
+        wanted.append(targets)
+
+    batch_ops = ops_cls(field, OperationCounter())
+    single_ops = ops_cls(field, OperationCounter())
+    batched = code.recover_many(damaged, batch_ops, wanted)
+    single = [code.recover(cw, single_ops, wanted=targets)
+              for cw, targets in zip(damaged, wanted)]
+
+    assert [list(got) for got in batched] == [list(got) for got in single]
+    assert [sorted(got) for got in batched] == [
+        [0, 5], [0, 5], [0, 5], [5], [2, 6], [2, 6], [3], [], []]
+    for word, got, expected in zip(words, batched, single):
+        for pos, symbol in got.items():
+            assert np.array_equal(symbol, expected[pos])
+            assert np.array_equal(symbol, word[pos])
+    assert batch_ops.counter.snapshot() == single_ops.counter.snapshot()
+    assert batch_ops.counter.total() > 0
 
 
 # --------------------------------------------------------------------- #

@@ -130,7 +130,7 @@ def test_oversized_body_is_refused_at_encode_time(monkeypatch):
 def test_request_encode_decode_round_trips_fuzzed():
     rng = np.random.default_rng(2024)
     ops = (rpc.OP_PUT, rpc.OP_GET, rpc.OP_CRASH,
-           rpc.OP_RESTORE, rpc.OP_STAT, rpc.OP_SHUTDOWN)
+           rpc.OP_RESTORE, rpc.OP_STAT, rpc.OP_SHUTDOWN, rpc.OP_DROP)
     for _ in range(200):
         op = ops[rng.integers(len(ops))]
         key = "".join(chr(c) for c in
@@ -160,7 +160,8 @@ def test_corrupted_request_bodies_error_cleanly_fuzzed():
         except RpcProtocolError:
             continue
         assert op in (rpc.OP_PUT, rpc.OP_GET, rpc.OP_CRASH,
-                      rpc.OP_RESTORE, rpc.OP_STAT, rpc.OP_SHUTDOWN)
+                      rpc.OP_RESTORE, rpc.OP_STAT, rpc.OP_SHUTDOWN,
+                      rpc.OP_DROP)
         assert isinstance(key, str) and isinstance(decoded, bytes)
 
 
@@ -273,6 +274,8 @@ def test_chunk_server_put_get_delete_crash_restore():
     assert status == rpc.STATUS_ERR and b"mirror desync" in message
     status, message = call(rpc.OP_GET, "k", 0)[0]
     assert status == rpc.STATUS_ERR
+    status, message = call(rpc.OP_DROP, "k", 0)[0]
+    assert status == rpc.STATUS_ERR and b"mirror desync" in message
 
     # ... and restore brings an *empty* replacement back up.
     assert call(rpc.OP_RESTORE)[0] == (rpc.STATUS_OK, b"")
@@ -280,6 +283,12 @@ def test_chunk_server_put_get_delete_crash_restore():
 
     assert call(rpc.OP_PUT, "k", 0, b"beta")[0] == (rpc.STATUS_OK, b"")
     assert call(rpc.OP_PUT, "k", 1, b"gamma")[0] == (rpc.STATUS_OK, b"")
+
+    # Drop forgets one chunk; dropping an absent chunk is a no-op.
+    assert call(rpc.OP_DROP, "k", 1)[0] == (rpc.STATUS_OK, b"")
+    assert call(rpc.OP_GET, "k", 1)[0] == (rpc.STATUS_MISSING, b"")
+    assert call(rpc.OP_DROP, "k", 1)[0] == (rpc.STATUS_OK, b"")
+    assert call(rpc.OP_STAT)[0] == (rpc.STATUS_OK, encode_stat(1, 4))
 
     response, keep = call(rpc.OP_SHUTDOWN)
     assert response == (rpc.STATUS_OK, b"") and keep is False

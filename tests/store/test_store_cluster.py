@@ -104,6 +104,44 @@ def test_overwrite_replaces_and_shrinks():
     assert run(flow()) == small
 
 
+@pytest.mark.parametrize("backend", ["inprocess", "process"])
+def test_shrinking_overwrite_drops_surplus_stripes(backend):
+    """A 5000 B object is five 1 KiB stripes of rs(n=6,r=4,m=2) at 64 B
+    symbols; overwriting it with 10 B keeps one chunk per node, in the
+    mirror and in the data plane.  A repair pass that listed the old
+    stripes before the overwrite must not count them as lost."""
+    code = parse_code_spec("rs(n=6,r=4,m=2)")
+
+    async def flow():
+        if backend == "process":
+            transports = [await ProcessTransport.spawn()
+                          for _ in range(code.n)]
+        else:
+            transports = [LocalTransport() for _ in range(code.n)]
+        nodes = [StoreNode(j, transport=transports[j])
+                 for j in range(code.n)]
+        async with StoreCluster(code, symbol_bytes=64,
+                                nodes=nodes) as cluster:
+            await cluster.put("k", payload(5000, seed=1))
+            assert nodes[1].mirror_stat()[0] == 5
+            cluster.crash_node(0)
+            small = payload(10, seed=2)
+            await asyncio.gather(cluster.repair_once(),
+                                 cluster.put("k", small))
+            await cluster.flush()
+            one_chunk = (1, cluster.codec.chunk_bytes)
+            for node in nodes:
+                assert node.mirror_stat() == one_chunk, node.index
+                assert await node.stat() == one_chunk, node.index
+            assert not await cluster.audit_data_plane()
+            assert await cluster.get("k") == small
+            assert cluster.fully_redundant()
+            assert cluster.report.unrecoverable_stripes == 0
+            assert not cluster.dataplane_errors()
+
+    run(flow())
+
+
 def test_zero_byte_object_round_trips():
     cluster = make_cluster()
 
