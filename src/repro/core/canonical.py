@@ -25,7 +25,7 @@ records one step per line that gained cells, in ascending line order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -162,7 +162,7 @@ class CanonicalStripe:
         ``targets`` restricts recovery to specific columns (default: every
         unknown cell in the row).  Requires at least ``n - m`` known cells.
         """
-        return self._recover_lines("row", {row: targets})
+        return self.recover_rows({row: targets})
 
     def recover_rows(self, row_targets: Mapping[int, Sequence[int] | None],
                      ) -> list[tuple[int, int]]:
@@ -172,7 +172,10 @@ class CanonicalStripe:
         The rows must be independent (no row's targets feed another's
         sources), which holds for the decoder's deferred-chunk rebuild.
         """
-        return self._recover_lines("row", row_targets)
+        rows = sorted(row_targets)
+        return self._recover_lines(
+            "row", self.crow, rows, [self.cells[row] for row in rows],
+            [row_targets[row] for row in rows], lambda row, col: (row, col))
 
     def recover_col(self, col: int,
                     targets: Sequence[int] | None = None) -> list[tuple[int, int]]:
@@ -185,36 +188,33 @@ class CanonicalStripe:
             raise DecodingFailureError(
                 "configuration has no column code (e is empty)"
             )
-        return self._recover_lines("col", {col: targets})
+        return self._recover_lines(
+            "col", self.ccol, [col], [[cells[col] for cells in self.cells]],
+            [targets], lambda col, row: (row, col))
 
-    def _recover_lines(self, kind: str,
-                       line_targets: Mapping[int, Sequence[int] | None],
+    def _recover_lines(self, kind: str, code: SystematicMDSCode,
+                       lines: Sequence[int],
+                       codewords: Sequence[Sequence[Optional[np.ndarray]]],
+                       targets: Sequence[Sequence[int] | None],
+                       cell: Callable[[int, int], tuple[int, int]],
                        ) -> list[tuple[int, int]]:
         """The one body behind the row and column primitives.
 
-        Fills the recovered cells and records one :class:`ScheduleStep`
-        per line that gained cells, in ascending line order.
+        Recovers ``codewords`` (one per line of ``lines``) through
+        ``code``, stores each symbol at ``cell(line, position)`` and
+        records one :class:`ScheduleStep` per line that gained cells, in
+        the order of ``lines``.
         """
-        lines = sorted(line_targets)
-        if kind == "row":
-            code = self.crow
-            codewords = [self.cells[row] for row in lines]
-        else:
-            code = self.ccol
-            codewords = [[cells[col] for cells in self.cells] for col in lines]
-        recovered = code.recover_many(codewords, self.ops,
-                                      [line_targets[line] for line in lines])
+        recovered = code.recover_many(codewords, self.ops, targets)
         filled_all = []
         for line, symbols in zip(lines, recovered):
-            if not symbols:
-                continue
-            if kind == "row":
-                filled = [(line, pos) for pos in symbols]
-            else:
-                filled = [(pos, line) for pos in symbols]
-            for (row, col), symbol in zip(filled, symbols.values()):
-                self.cells[row][col] = symbol
-            self.steps.append(ScheduleStep(kind, line, tuple(sorted(filled))))
+            filled = []
+            for pos, symbol in symbols.items():
+                row, col = cell(line, pos)
+                self.set(row, col, symbol)
+                filled.append((row, col))
+            if filled:
+                self.steps.append(ScheduleStep(kind, line, tuple(sorted(filled))))
             filled_all.extend(filled)
         return filled_all
 

@@ -340,8 +340,11 @@ class RegionOps:
         Every inner sequence must have the same number of equal-length
         symbols; the result is one list of output symbols per input
         vector, identical (bits and counts) to calling
-        :meth:`matrix_vector` once per vector.
+        :meth:`matrix_vector` once per vector.  A batch of one takes
+        :meth:`matrix_vector` directly, which skips stacking the batch.
         """
+        if len(symbol_lists) == 1:
+            return [self.matrix_vector(matrix, symbol_lists[0])]
         matrix = np.asarray(matrix)
         if not len(symbol_lists):
             return []

@@ -127,9 +127,8 @@ class SystematicMDSCode:
         ``k`` to those positions; known positions in it are ignored.
         Codewords are grouped by (erasure pattern, targets): each group
         computes its decode matrix once and applies it with one
-        ``matrix_vector`` (a single codeword) or one
-        ``matrix_vector_batch`` (several), so the rows of a stripe lost
-        on the same devices repair in a single bulk-kernel call.  Bit-
+        ``matrix_vector_batch`` call, so the rows of a stripe lost on
+        the same devices repair in a single bulk-kernel call.  Bit-
         and counter-identical to recovering the codewords one by one.
 
         Raises
@@ -141,34 +140,37 @@ class SystematicMDSCode:
             known symbols.
         """
         ops = ops or RegionOps(self.field)
-        groups: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {}
+        # (missing, targets) -> (basis, member indices, their basis symbols)
+        groups: dict[tuple[tuple[int, ...], tuple[int, ...]],
+                     tuple[list[int], list[int], list[list[np.ndarray]]]] = {}
+        results: list[dict[int, np.ndarray]] = []
         for index, codeword in enumerate(codewords):
             if len(codeword) != self.length:
                 raise ValueError(
                     f"codeword length {len(codeword)} != {self.length}"
                 )
+            results.append({})
             missing = tuple([i for i, sym in enumerate(codeword) if sym is None])
             targets = None if wanted is None else wanted[index]
             targets = missing if targets is None else tuple(
                 [t for t in targets if codeword[t] is None])
-            if targets:
-                groups.setdefault((missing, targets), []).append(index)
-        results: list[dict[int, np.ndarray]] = [{} for _ in codewords]
-        for (missing, targets), members in groups.items():
-            if self.length - len(missing) < self.dimension:
-                raise UnrecoverableErasureError(
-                    f"only {self.length - len(missing)} of {self.dimension} "
-                    "required symbols available"
-                )
-            basis = tuple([i for i in range(self.length)
-                           if i not in missing][: self.dimension])
-            coeffs = self.decode_matrix(basis, targets)
-            if len(members) == 1:
-                outputs = [ops.matrix_vector(
-                    coeffs, [codewords[members[0]][i] for i in basis])]
-            else:
-                outputs = ops.matrix_vector_batch(
-                    coeffs, [[codewords[k][i] for i in basis] for k in members])
+            if not targets:
+                continue
+            group = groups.get((missing, targets))
+            if group is None:
+                known = [i for i, sym in enumerate(codeword) if sym is not None]
+                if len(known) < self.dimension:
+                    raise UnrecoverableErasureError(
+                        f"only {len(known)} of {self.dimension} required "
+                        "symbols available"
+                    )
+                group = groups[missing, targets] = (known[: self.dimension], [], [])
+            basis, members, symbols = group
+            members.append(index)
+            symbols.append([codeword[i] for i in basis])
+        for (_, targets), (basis, members, symbols) in groups.items():
+            outputs = ops.matrix_vector_batch(
+                self.decode_matrix(basis, targets), symbols)
             for k, recovered in zip(members, outputs):
                 results[k] = dict(zip(targets, recovered))
         return results
@@ -198,10 +200,6 @@ class SystematicMDSCode:
         schedulers repeat the same recovery pattern for every row/column
         of a stripe.
         """
-        key = (tuple(known_positions), tuple(unknown_positions))
-        cached = self._decode_cache.get(key)
-        if cached is not None:
-            return cached
         known = tuple(int(p) for p in known_positions)
         unknown = tuple(int(p) for p in unknown_positions)
         if len(known) != self.dimension:
@@ -210,6 +208,11 @@ class SystematicMDSCode:
             )
         if len(set(known)) != len(known):
             raise ValueError("known positions must be distinct")
+        key = (known, unknown)
+        cached = self._decode_cache.get(key)
+        if cached is not None:
+            return cached
+
         sub_known = self.generator.submatrix(range(self.dimension), known)
         try:
             inv = sub_known.inverse()

@@ -53,51 +53,52 @@ class Row:
     scheduled: str | None = None
 
 
-def _known_stripe(code):
+def _table(code) -> list[Row]:
     rng = np.random.default_rng(17)
     data = [rng.integers(0, code.field.order, SYMBOL_SIZE,
                          dtype=code.field.element_dtype)
             for _ in range(code.num_data_symbols)]
-    return code.encode(data)
-
-
-def _outcome(decode, grid, pattern) -> str:
-    damaged = [list(row) for row in grid]
-    for i, j in pattern:
-        damaged[i][j] = None
-    try:
-        repaired = decode(damaged)
-    except DecodingFailureError:
-        return "failed"
-    exact = all(np.array_equal(got, want)
-                for row_got, row_want in zip(repaired, grid)
-                for got, want in zip(row_got, row_want))
-    return "exact" if exact else "wrong"
-
-
-def _schedule(code):
-    """``StairCode.decode`` alone: the (m, e) schedule, no solve fallback."""
-    return lambda damaged: code.code.decode(damaged).symbols
-
-
-def _table(code) -> list[Row]:
-    grid = _known_stripe(code)
+    grid = code.encode(data)
     coverage = CoverageModel.from_code(code)
     cells = [(i, j) for i in range(code.r) for j in range(code.n)]
-    stair = isinstance(code, StairStripeCode)
     rows = []
     for size in range(code.num_parity_symbols + 2):
         for pattern in itertools.combinations(cells, size):
             counts = [0] * code.n
             for _, j in pattern:
                 counts[j] += 1
-            tolerated = code.tolerates(pattern)
-            scheduled = (_outcome(_schedule(code), grid, pattern)
-                         if stair and tolerated else None)
+            damaged = [list(row) for row in grid]
+            for i, j in pattern:
+                damaged[i][j] = None
+            try:
+                repaired = code.decode(damaged)
+            except DecodingFailureError:
+                outcome = "failed"
+            else:
+                exact = all(np.array_equal(repaired[i][j], grid[i][j])
+                            for i, j in cells)
+                outcome = "exact" if exact else "wrong"
             rows.append(Row(pattern, coverage.tolerates_counts(tuple(counts)),
-                            tolerated, code.recoverable(pattern),
-                            _outcome(code.decode, grid, pattern), scheduled))
+                            code.tolerates(pattern), code.recoverable(pattern),
+                            outcome, _scheduled(code, grid, pattern)))
     return rows
+
+
+def _scheduled(code, grid, pattern) -> str | None:
+    """Outcome of ``StairCode.decode`` alone (the (m, e) schedule, no
+    ``solve`` fallback) on a STAIR pattern ``tolerates`` admits, else None."""
+    if not isinstance(code, StairStripeCode) or not code.tolerates(pattern):
+        return None
+    damaged = [list(row) for row in grid]
+    for i, j in pattern:
+        damaged[i][j] = None
+    try:
+        repaired = code.code.decode(damaged).symbols
+    except DecodingFailureError:
+        return "failed"
+    exact = all(np.array_equal(repaired[i][j], grid[i][j])
+                for i in range(code.r) for j in range(code.n))
+    return "exact" if exact else "wrong"
 
 
 @pytest.fixture(scope="module", params=sorted(CODES))
@@ -138,14 +139,17 @@ def test_tolerated_m2_stair_patterns_decode_through_the_schedule():
     """The same bar for m = 2, where two chunks are deferred: every one
     of the 3315 non-empty patterns stair(n=5,r=3,m=2,e=(1,)) tolerates."""
     code = parse_code_spec("stair(n=5,r=3,m=2,e=(1,))")
-    grid = _known_stripe(code)
+    rng = np.random.default_rng(17)
+    grid = code.encode([rng.integers(0, code.field.order, SYMBOL_SIZE,
+                                     dtype=code.field.element_dtype)
+                        for _ in range(code.num_data_symbols)])
     cells = [(i, j) for i in range(code.r) for j in range(code.n)]
     tolerated = [pattern for size in range(1, code.num_parity_symbols + 1)
                  for pattern in itertools.combinations(cells, size)
                  if code.tolerates(pattern)]
     assert len(tolerated) == 3315
     bad = [pattern for pattern in tolerated
-           if _outcome(_schedule(code), grid, pattern) != "exact"]
+           if _scheduled(code, grid, pattern) != "exact"]
     assert not bad, bad[:5]
 
 
