@@ -22,6 +22,13 @@ the baseline these floors are committed against:
 ``repro.gf.field.TAKE_GATHER_MIN_ELEMENTS``: it times both gathers of
 ``mul_rows`` and ``mul_gather`` at sizes around the crossover.
 
+``test_fold_sweep_summary`` is the sweep behind
+``repro.store.codec.FOLD_MAX_BYTES``: per-stripe against folded object
+encode and decode by symbol size, on the store's ledger code.  Its
+tripwire: a folded 4 KiB object encode at 128 B symbols is >= 1.5x
+faster than one ``code.encode`` per stripe with per-symbol conversions
+(measured ~1.9x).
+
 pytest-benchmark provides the statistical timing; the hard assertions
 use wall-clock directly so they hold even without the plugin's
 comparison machinery.
@@ -32,9 +39,10 @@ import time
 import numpy as np
 
 import repro.gf.field as gf_field
-from repro.codes import ReedSolomonStripeCode
+import repro.store.codec as store_codec
+from repro.codes import ReedSolomonStripeCode, parse_code_spec
 from repro.core.stair import StairCode
-from repro.gf.regions import ReferenceRegionOps
+from repro.gf.regions import ReferenceRegionOps, RegionOps
 from repro.gf.tables import get_tables
 
 #: The 1 MiB benchmark stripe: one row of 8 data symbols x 128 KiB.
@@ -54,6 +62,13 @@ GATHER_SPEEDUP_FLOOR = 2.0
 GATHER_PLANE_SHAPE = (6, 16384)
 
 STAIR_SYMBOL_BYTES = 16 * 1024
+
+#: The code of every store workload in ``benchmarks/ledger``.
+LEDGER_CODE = "stair(n=8,r=4,m=2,e=(1,1))"
+#: Folded vs per-stripe encode of a 4 KiB object at 128 B symbols.
+FOLD_SPEEDUP_FLOOR = 1.5
+#: Folded row lengths the sweep times, beyond one symbol per stripe.
+FOLD_SWEEP_BYTES = (4096, 16384, 65536, 262144)
 
 
 def _rs_code():
@@ -214,6 +229,76 @@ def test_gather_crossover_summary(capsys, monkeypatch):
             print(f"  {name:10s} {size:6d} elements: fancy index "
                   f"{fancy * 1e6:7.1f} us, np.take {take * 1e6:7.1f} us "
                   f"({fancy / take:4.2f}x)")
+
+
+def _per_stripe_encode(code, symbol_bytes, data):
+    """One ``code.encode`` per stripe, every symbol converted on its
+    own: the object encode that folding replaced."""
+    ops = RegionOps(code.field)
+    payload = code.num_data_symbols * symbol_bytes
+    out = []
+    for start in range(0, len(data), payload):
+        piece = data[start:start + payload].ljust(payload, b"\x00")
+        grid = code.encode([
+            ops.from_bytes(piece[k * symbol_bytes:(k + 1) * symbol_bytes])
+            for k in range(code.num_data_symbols)])
+        out.append([b"".join(ops.to_bytes(grid[i][j])
+                             for i in range(code.r))
+                    for j in range(code.n)])
+    return out
+
+
+def test_folded_object_encode_beats_per_stripe():
+    """Tripwire for the codec's fold: a 4 KiB object on the ledger code
+    at 128 B symbols is two stripes, encoded in one code call."""
+    code = parse_code_spec(LEDGER_CODE)
+    codec = store_codec.ObjectCodec(code, symbol_bytes=128)
+    data = np.random.default_rng(4).bytes(4096)
+    assert codec.encode_object(data) == _per_stripe_encode(code, 128, data)
+    t_stripes = _per_call(lambda: _per_stripe_encode(code, 128, data))
+    t_folded = _per_call(lambda: codec.encode_object(data))
+    speedup = t_stripes / t_folded
+    assert speedup >= FOLD_SPEEDUP_FLOOR, (
+        f"folded 4 KiB object encode only {speedup:.2f}x faster than one "
+        f"code call per stripe ({t_folded * 1e6:.0f} vs "
+        f"{t_stripes * 1e6:.0f} us; floor: {FOLD_SPEEDUP_FLOOR}x)")
+
+
+def test_fold_sweep_summary(capsys, monkeypatch):
+    """Per-stripe time of object encode and of a degraded run decode
+    (data column 0 lost), one stripe per code call against folded rows
+    of 4 to 256 KiB.  ``FOLD_MAX_BYTES`` is forced to each length, so
+    every row times the shipped codec; the object is 256 KiB of folded
+    row long, so every length codes it in whole calls."""
+    code = parse_code_spec(LEDGER_CODE)
+    shipped = store_codec.FOLD_MAX_BYTES
+    rng = np.random.default_rng(5)
+    rows = []
+    for symbol_bytes in (128, 512, 2048, 16384):
+        codec = store_codec.ObjectCodec(code, symbol_bytes=symbol_bytes)
+        stripes = max(FOLD_SWEEP_BYTES) // symbol_bytes
+        data = rng.bytes(stripes * codec.stripe_payload_bytes)
+        chunks = codec.encode_object(data)
+        run = [None] + [b"".join(stripe[j] for stripe in chunks)
+                        for j in range(1, code.n)]
+        for fold in (0, *[row for row in FOLD_SWEEP_BYTES
+                          if row > symbol_bytes]):
+            monkeypatch.setattr(store_codec, "FOLD_MAX_BYTES", fold)
+            encode = _per_call(lambda: codec.encode_object(data),
+                               calls=1, runs=3)
+            decode = _per_call(lambda: codec.decode_stripe(run),
+                               calls=1, runs=3)
+            rows.append((symbol_bytes, codec.fold_stripes * symbol_bytes,
+                         encode / stripes, decode / stripes))
+    with capsys.disabled():
+        print("\n[bench_coding_throughput] fold sweep on "
+              f"{LEDGER_CODE} (shipped FOLD_MAX_BYTES: {shipped}), "
+              "time per stripe")
+        for symbol_bytes, row, encode, decode in rows:
+            label = "per-stripe" if row == symbol_bytes else f"{row:6d} B"
+            print(f"  {symbol_bytes:5d} B symbols, {label:>10s} rows: "
+                  f"encode {encode * 1e6:7.1f} us, "
+                  f"decode {decode * 1e6:7.1f} us")
 
 
 def test_bench_rs_bulk_encode(benchmark):

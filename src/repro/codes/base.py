@@ -22,8 +22,21 @@ from repro.gf.matrix import GFMatrix
 
 Grid = list[list[Optional[np.ndarray]]]
 
-#: Erasure patterns :meth:`StripeCode.recoverable` remembers per code.
+#: Erasure patterns a code remembers (:meth:`StripeCode.recoverable`
+#: and :meth:`StripeCode.solve` share the memo).
 RECOVERABLE_MEMO_SIZE = 4096
+
+
+@dataclasses.dataclass
+class _Pattern:
+    """What a code remembers about one erasure pattern."""
+
+    #: Rank of the parity-check columns of the lost symbols.
+    rank: int
+    #: :meth:`StripeCode.solve`'s plan, once it ran: the selected check
+    #: equations over the surviving symbols, and the inverse mapping
+    #: their syndromes to the lost symbols.
+    plan: Optional[tuple[np.ndarray, np.ndarray]] = None
 
 
 class StripeCode(abc.ABC):
@@ -37,7 +50,7 @@ class StripeCode(abc.ABC):
     name: str = "abstract"
 
     _check: Optional[np.ndarray] = None
-    _memo: Optional[dict[frozenset, bool]] = None
+    _memo: Optional[dict[frozenset, _Pattern]] = None
 
     @property
     @abc.abstractmethod
@@ -145,56 +158,72 @@ class StripeCode(abc.ABC):
         for at most :data:`RECOVERABLE_MEMO_SIZE` patterns.
         """
         key = frozenset(lost)
-        if self._memo is None:
-            self._memo = {}
-        answer = self._memo.get(key)
-        if answer is None:
-            check = self.check_matrix()
+        entry = self._recall(key)
+        if entry is None:
             lost_idx = sorted(i * self.n + j for i, j in key)
-            answer = GFMatrix(check[:, lost_idx],
-                              self.field).rank() == len(lost_idx)
-            if len(self._memo) >= RECOVERABLE_MEMO_SIZE:
-                del self._memo[next(iter(self._memo))]
-            self._memo[key] = answer
-        return answer
+            entry = self._remember(key, _Pattern(GFMatrix(
+                self.check_matrix()[:, lost_idx], self.field).rank()))
+        return entry.rank == len(key)
 
     def solve(self, stripe: Grid) -> Grid:
         """Recover every lost symbol by a syndrome solve over
         :meth:`check_matrix`: exact for every :meth:`recoverable`
         pattern, :class:`~repro.core.exceptions.DecodingFailureError`
-        for any other."""
+        for any other.  The per-pattern plan is memoised alongside
+        :meth:`recoverable`'s answers."""
         ops = self.ops_class(self.field, self.counter)
-        n, check = self.n, self.check_matrix()
-        lost = [(i, j) for i in range(self.r) for j in range(n)
+        lost = [(i, j) for i in range(self.r) for j in range(self.n)
                 if stripe[i][j] is None]
         if not lost:
             return [[np.asarray(cell) for cell in row] for row in stripe]
+        key = frozenset(lost)
+        entry = self._recall(key)
+        if entry is None or (entry.rank == len(lost) and entry.plan is None):
+            entry = self._remember(key, self._plan(lost))
+        if entry.plan is None:
+            raise DecodingFailureError(
+                f"{len(lost)} lost symbols meet only {entry.rank} "
+                f"independent parity checks of the {self.name} code",
+                unrecovered=lost)
+        check_sub, solver = entry.plan
 
+        # Syndromes of the selected equations over the surviving symbols
+        # (stacked into one plane by the bulk kernel), then the lost
+        # symbols from the syndromes.
+        survivors = [np.asarray(cell) for row in stripe for cell in row
+                     if cell is not None]
+        syndromes = ops.matrix_vector(check_sub, survivors)
+        repaired = [[None if cell is None else np.asarray(cell) for cell in row]
+                    for row in stripe]
+        recovered = ops.matrix_vector(solver, syndromes)
+        for (i, j), symbol in zip(lost, recovered):
+            repaired[i][j] = symbol
+        return repaired  # type: ignore[return-value]
+
+    def _plan(self, lost: list[tuple[int, int]]) -> _Pattern:
+        """Rank and solve plan of a pattern, lost symbols in row-major
+        order."""
+        n, check = self.n, self.check_matrix()
         # The first independent check equations over the lost symbols are
         # the pivot columns of the transposed lost-symbol sub-matrix.
         lost_idx = [i * n + j for i, j in lost]
         h_lost = check[:, lost_idx]
         equation_rows = list(GFMatrix(h_lost.T, self.field).rref()[1])
         if len(equation_rows) < len(lost):
-            raise DecodingFailureError(
-                f"{len(lost)} lost symbols meet only {len(equation_rows)} "
-                f"independent parity checks of the {self.name} code",
-                unrecovered=lost)
-
-        # Syndromes of the selected equations over the surviving symbols:
-        # stack the survivors into one plane and apply the corresponding
-        # columns of the parity-check matrix with the bulk kernel.
-        surviving = [(i, j) for i in range(self.r) for j in range(n)
-                     if stripe[i][j] is not None]
-        surviving_idx = [i * n + j for i, j in surviving]
-        survivors = [np.asarray(stripe[i][j]) for i, j in surviving]
-        check_sub = check[np.ix_(equation_rows, surviving_idx)]
-        syndromes = ops.matrix_vector(check_sub, survivors)
-
+            return _Pattern(len(equation_rows))
+        surviving_idx = sorted(set(range(self.r * n)) - set(lost_idx))
         solver = GFMatrix(h_lost[equation_rows, :], self.field).inverse()
-        repaired = [[None if cell is None else np.asarray(cell) for cell in row]
-                    for row in stripe]
-        recovered = ops.matrix_vector(solver.data, syndromes)
-        for (i, j), symbol in zip(lost, recovered):
-            repaired[i][j] = symbol
-        return repaired  # type: ignore[return-value]
+        return _Pattern(len(equation_rows), (
+            check[np.ix_(equation_rows, surviving_idx)], solver.data))
+
+    def _recall(self, key: frozenset) -> Optional[_Pattern]:
+        if self._memo is None:
+            self._memo = {}
+        return self._memo.get(key)
+
+    def _remember(self, key: frozenset, entry: _Pattern) -> _Pattern:
+        """Store ``entry``, evicting the oldest pattern when full."""
+        if key not in self._memo and len(self._memo) >= RECOVERABLE_MEMO_SIZE:
+            del self._memo[next(iter(self._memo))]
+        self._memo[key] = entry
+        return entry

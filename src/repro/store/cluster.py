@@ -167,15 +167,33 @@ class GetTicket:
     _stripes: list[_StripeRead] = field(default_factory=list)
 
     async def data(self) -> bytes:
-        pieces: list[bytes] = []
-        for plan in self._stripes:
-            columns: list[Optional[bytes]] = [None] * self._codec.code.n
+        """Await the captured chunks and assemble the object.
+
+        Healthy stripes are sliced out of their data columns one by
+        one: nothing is decoded, and joining their chunks into runs
+        would copy a large object once more for no gain.  Degraded
+        stripes that captured the same columns form one run, which
+        ``decode_stripe`` decodes in folded code calls.
+        """
+        n, payload = self._codec.code.n, self._codec.stripe_payload_bytes
+        pieces: list = [b""] * len(self._stripes)
+        runs: dict[tuple[int, ...], list[tuple[int, list]]] = {}
+        for index, plan in enumerate(self._stripes):
+            columns: list[Optional[bytes]] = [None] * n
             for col, promise in plan.promises.items():
                 columns[col] = await promise
             if plan.degraded:
-                pieces.append(self._codec.decode_stripe(columns))
+                runs.setdefault(tuple(plan.promises), []).append(
+                    (index, columns))
             else:
-                pieces.append(self._codec.extract_payload(columns))
+                pieces[index] = self._codec.extract_payload(columns)
+        for captured, members in runs.items():
+            run: list[Optional[bytes]] = [None] * n
+            for col in captured:
+                run[col] = b"".join([columns[col] for _, columns in members])
+            decoded = memoryview(self._codec.decode_stripe(run))
+            for rank, (index, _) in enumerate(members):
+                pieces[index] = decoded[rank * payload:(rank + 1) * payload]
         return b"".join(pieces)[:self.size]
 
 

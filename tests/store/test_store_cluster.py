@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.codes.registry import parse_code_spec
+from repro.gf.regions import ReferenceRegionOps
 from repro.store.cluster import ObjectLostError, StoreCluster
 from repro.store.codec import StoreError
 from repro.sim.cluster import CoverageModel
@@ -226,6 +227,56 @@ def test_recoverable_column_pairs_beyond_coverage_are_served(backend):
                 assert not await cluster.audit_data_plane(), pair
             assert cluster.report.failed_reads == 0
             assert cluster.report.unrecoverable_stripes == 0
+
+    run(flow())
+
+
+@pytest.mark.parametrize("ops", ["bulk", "reference"])
+@pytest.mark.parametrize("backend", ["inprocess", "process"])
+def test_degraded_get_decodes_each_erasure_pattern_once(backend, ops):
+    """Stripe 0 of a four-stripe object is written while node 0 is
+    down; node 0 comes back for stripes 1-3.  With node 1 crashed too,
+    the stripes miss columns {0, 1} and {1}: the read decodes each
+    pattern in one run and returns the exact bytes."""
+    code = parse_code_spec("rs(n=6,r=4,m=2)")
+    if ops == "reference":
+        code.ops_class = ReferenceRegionOps
+
+    async def flow():
+        if backend == "process":
+            transports = [await ProcessTransport.spawn()
+                          for _ in range(code.n)]
+        else:
+            transports = [LocalTransport() for _ in range(code.n)]
+        nodes = [StoreNode(j, transport=transports[j])
+                 for j in range(code.n)]
+        async with StoreCluster(code, symbol_bytes=16,
+                                nodes=nodes) as cluster:
+            data = payload(3 * cluster.codec.stripe_payload_bytes + 5,
+                           seed=9)
+            cluster.crash_node(0)
+            put_chunk = nodes[0].put_chunk
+
+            async def back_for_stripe_one(key, stripe, chunk):
+                if stripe == 1:
+                    cluster.restore_node(0)
+                return await put_chunk(key, stripe, chunk)
+
+            nodes[0].put_chunk = back_for_stripe_one
+            await cluster.put("k", data)
+            cluster.crash_node(1)
+            assert cluster.damaged_stripes() == [
+                ("k", 0, (0, 1)), ("k", 1, (1,)), ("k", 2, (1,)),
+                ("k", 3, (1,))]
+            runs = []
+            decode_stripe = cluster.codec.decode_stripe
+            cluster.codec.decode_stripe = lambda columns: (
+                runs.append(tuple(j for j, chunk in enumerate(columns)
+                                  if chunk is None))
+                or decode_stripe(columns))
+            assert await cluster.get("k") == data
+            assert sorted(runs) == [(0, 1), (1,)]
+            assert cluster.report.failed_reads == 0
 
     run(flow())
 
