@@ -13,8 +13,9 @@ become the failure injection).
   bytes either in-process or in one subprocess per node;
 * :mod:`repro.store.rpc` -- the length-prefixed chunk RPC protocol and
   the stdlib-only chunk-server subprocess entry point;
-* :mod:`repro.store.latency` -- composable, seeded physical-latency
-  models injected at the node boundary (digest-neutral);
+* :mod:`repro.store.latency` -- one flat, seeded physical-latency
+  sampler per node (network RTT + disk time), applied at the node
+  boundary (digest-neutral);
 * :mod:`repro.store.codec` -- object bytes <-> per-node chunks through
   any registry stripe code, healthy reads without decoding;
 * :mod:`repro.store.cluster` -- put / get (degraded reads through
@@ -39,7 +40,7 @@ from repro.store.cluster import (GetTicket, KeyShards, ObjectLostError,
                                  ObjectMeta, PutTicket, StoreCluster)
 from repro.store.codec import ObjectCodec, StoreError
 from repro.store.injector import FailureEvent, FailureInjector
-from repro.store.latency import LatencyComponent, LatencyModel, NodeLatency
+from repro.store.latency import NodeLatency
 from repro.store.node import (ChunkIntegrityError, ChunkMissingError,
                               LocalTransport, NodeDownError,
                               ProcessTransport, StoreNode)
@@ -55,8 +56,6 @@ __all__ = [
     "FailureInjector",
     "GetTicket",
     "KeyShards",
-    "LatencyComponent",
-    "LatencyModel",
     "LocalTransport",
     "NodeDownError",
     "NodeLatency",

@@ -67,7 +67,7 @@ from typing import Callable, Optional, Sequence
 from repro.codes.base import StripeCode
 from repro.store.codec import ObjectCodec, StoreError
 from repro.store.node import (ChunkIntegrityError, ChunkMissingError,
-                              NodeDownError, StoreNode)
+                              InFlight, NodeDownError, StoreNode)
 from repro.store.report import StoreReport
 
 
@@ -249,8 +249,7 @@ class StoreCluster:
         self._suspect_nodes: set[int] = set()
         #: Tracked data-plane tasks (stripe decodes, finishers) and the
         #: exceptions they surfaced.
-        self._dataplane: set[asyncio.Task] = set()
-        self.dataplane_task_errors: list[BaseException] = []
+        self._tasks = InFlight()
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -602,31 +601,19 @@ class StoreCluster:
         are collected (never lost to "exception was never retrieved")
         and surface through :meth:`dataplane_errors`.
         """
-        task = asyncio.ensure_future(coro)
-        self._dataplane.add(task)
-        task.add_done_callback(self._untrack)
-        return task
-
-    def _untrack(self, task: asyncio.Task) -> None:
-        self._dataplane.discard(task)
-        if not task.cancelled():
-            exc = task.exception()
-            if exc is not None:
-                self.dataplane_task_errors.append(exc)
+        return self._tasks.track(asyncio.ensure_future(coro))
 
     async def flush(self) -> None:
         """Wait until every decided operation physically completed:
         tracked tasks done, every node's delivery acks drained."""
-        while self._dataplane:
-            await asyncio.gather(*list(self._dataplane),
-                                 return_exceptions=True)
+        await self._tasks.drain()
         for node in self.nodes:
             await node.drain()
 
     def dataplane_errors(self) -> list[BaseException]:
-        """Every data-plane failure seen so far (transport acks plus
+        """Every data-plane failure seen so far (node acks plus
         tracked tasks).  Empty in a healthy run -- on either backend."""
-        errors = list(self.dataplane_task_errors)
+        errors = list(self._tasks.errors)
         for node in self.nodes:
             errors.extend(node.dataplane_errors)
         return errors

@@ -1,100 +1,62 @@
-"""Composable, seeded physical-latency models for store nodes.
+"""Seeded physical-latency samplers for store nodes.
 
-PR 9's latencies were pure software artifacts -- whatever the event
-loop happened to cost.  This module injects *physical* time at the
-node boundary so the report's p50/p99s track parameters you can reason
-about: a chunk operation pays one network round trip plus one disk
-service time, each an independently seeded base + exponential-jitter
-draw.  The model composes from :class:`LatencyComponent` terms, so
-adding (say) a per-MiB transfer term or a queueing term later is a new
-component, not a rewrite.
+Without latency the store's p50/p99s are whatever the event loop
+happens to cost.  This module injects *physical* time at the node
+boundary so they track parameters you can reason about: a chunk
+operation pays one network round trip plus one disk service time, each
+a ``base + Exp(jitter)`` draw in ms from the ``[store]`` section's
+``latency_*`` knobs.  One flat :class:`NodeLatency` per node holds the
+knobs and its seeded generator.
 
 Determinism contract: the *sample values* are drawn synchronously at
 operation-decision time from a per-node ``SeedSequence``-derived
 generator, so the draw sequence is a pure function of the spec + seed
 and identical across the in-process and subprocess backends.  Only the
-wall-clock *delivery* of chunk bytes is delayed (the transport holds
-the data future until the sampled deadline); the deterministic mirror
-never waits on a sample, so digests are latency-independent.
+wall-clock *delivery* of chunk bytes is delayed (the node holds the
+transport's future back until the sampled deadline); the deterministic
+mirror never waits on a sample, so digests are latency-independent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass(frozen=True)
-class LatencyComponent:
-    """One additive service-time term: ``base + Exp(jitter)``, in ms."""
-
-    base_ms: float = 0.0
-    jitter_ms: float = 0.0
-
-    def sample_ms(self, rng: np.random.Generator) -> float:
-        delay = self.base_ms
-        if self.jitter_ms > 0.0:
-            delay += float(rng.exponential(self.jitter_ms))
-        return delay
-
-    @property
-    def is_zero(self) -> bool:
-        return self.base_ms <= 0.0 and self.jitter_ms <= 0.0
-
-
-@dataclass(frozen=True)
-class LatencyModel:
-    """Network RTT + disk service time for one chunk operation."""
-
-    network: LatencyComponent = LatencyComponent()
-    disk: LatencyComponent = LatencyComponent()
-
-    @property
-    def is_zero(self) -> bool:
-        return self.network.is_zero and self.disk.is_zero
-
-    def sample_ms(self, rng: np.random.Generator) -> float:
-        return self.network.sample_ms(rng) + self.disk.sample_ms(rng)
-
-    @classmethod
-    def from_store_section(cls, store) -> "LatencyModel | None":
-        """Build from a ``[store]`` spec section; ``None`` when all
-        latency knobs are zero (the transport then skips sampling
-        entirely, keeping the zero-latency fast path allocation-free).
-        """
-        model = cls(
-            network=LatencyComponent(base_ms=store.latency_net_rtt_ms,
-                                     jitter_ms=store.latency_net_jitter_ms),
-            disk=LatencyComponent(base_ms=store.latency_disk_ms,
-                                  jitter_ms=store.latency_disk_jitter_ms),
-        )
-        return None if model.is_zero else model
-
-
 class NodeLatency:
-    """Per-node sampler: one seeded generator + the shared model.
+    """One node's sampler: network RTT + disk service time, each
+    ``base + Exp(jitter)`` ms, drawn from one seeded generator.
 
     ``sample_s`` is called synchronously at decision time (determinism
     contract above); the caller turns the returned seconds into a
     delivery deadline for the chunk's data future.
     """
 
-    def __init__(self, model: LatencyModel,
-                 seed: np.random.SeedSequence) -> None:
-        self.model = model
+    def __init__(self, store, seed: np.random.SeedSequence) -> None:
+        #: (base_ms, jitter_ms) per term, in draw order.
+        self.terms = ((store.latency_net_rtt_ms, store.latency_net_jitter_ms),
+                      (store.latency_disk_ms, store.latency_disk_jitter_ms))
         self._rng = np.random.default_rng(seed)
 
     def sample_s(self) -> float:
-        return self.model.sample_ms(self._rng) / 1000.0
+        total = 0.0
+        for base_ms, jitter_ms in self.terms:
+            delay = base_ms
+            if jitter_ms > 0.0:
+                delay += float(self._rng.exponential(jitter_ms))
+            total += delay
+        return total / 1000.0
 
 
-def node_latencies(model: "LatencyModel | None", num_nodes: int,
+def node_latencies(store, num_nodes: int,
                    seed: "np.random.SeedSequence | None",
                    ) -> "list[NodeLatency | None]":
-    """One independently seeded sampler per node (``None`` sans model)."""
-    if model is None:
+    """One independently seeded sampler per node from a ``[store]``
+    section; all ``None`` when every latency knob is zero (the node
+    then returns the transport's futures untouched)."""
+    knobs = (store.latency_net_rtt_ms, store.latency_net_jitter_ms,
+             store.latency_disk_ms, store.latency_disk_jitter_ms)
+    if all(knob <= 0.0 for knob in knobs):
         return [None] * num_nodes
     if seed is None:
         seed = np.random.SeedSequence(0)
-    return [NodeLatency(model, child) for child in seed.spawn(num_nodes)]
+    return [NodeLatency(store, child) for child in seed.spawn(num_nodes)]

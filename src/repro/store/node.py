@@ -1,7 +1,6 @@
 """One storage device slot: a deterministic mirror over a transport.
 
-PR 9's :class:`StoreNode` was a dict of chunk bytes inside the
-cluster's own event loop.  This PR splits it in two:
+A :class:`StoreNode` is split in two:
 
 * the **mirror** (this class) is the control plane: which chunks the
   device holds (key, stripe -> size), whether it is up, and every
@@ -11,14 +10,13 @@ cluster's own event loop.  This PR splits it in two:
   subprocess backends produce bit-identical deterministic digests: the
   digest is a pure function of the mirror, and the mirror never waits
   on data;
-* the **transport** is the data plane: where chunk bytes physically
-  live.  :class:`LocalTransport` keeps them in a dict (PR 9 semantics);
-  :class:`ProcessTransport` ships them to a ``python -m
-  repro.store.rpc`` subprocess over length-prefixed asyncio-stream
-  frames.  Operations are enqueued synchronously at mirror-decision
-  time, so the per-node order the warehouse applies is exactly the
-  order the mirror decided -- the two can never disagree about which
-  write a read observes.
+* the **transport** is the data plane and only moves bytes.
+  :class:`LocalTransport` keeps them in a dict; :class:`ProcessTransport`
+  ships them to a ``python -m repro.store.rpc`` subprocess over
+  length-prefixed asyncio-stream frames.  Operations are enqueued
+  synchronously at mirror-decision time, so the per-node order the
+  warehouse applies is exactly the order the mirror decided -- the two
+  can never disagree about which write a read observes.
 
 Reads are *snapshot* reads: ``fetch_chunk`` captures a promise for the
 bytes as of the decision instant; a later crash or overwrite does not
@@ -29,17 +27,22 @@ present before its bytes exist -- ``put_chunk_deferred`` enqueues the
 write with a payload future the decode task resolves later, and the
 transport holds subsequent frames behind it so ordering is preserved.
 
-A :class:`~repro.store.latency.NodeLatency` sampler, when attached,
-delays only the *delivery* of data futures (never a mirror decision),
-so p50/p99s track physical parameters while digests stay
-latency-independent.
+Everything besides moving bytes happens here, once for both
+transports: the node tracks every write and control acknowledgement in
+an :class:`InFlight` tracker (``drain()`` / ``dataplane_errors``), and
+a :class:`~repro.store.latency.NodeLatency` sampler, when attached,
+draws one delay per chunk operation at decision time and holds the
+transport's future back until that deadline (never a mirror
+decision), so p50/p99s track physical parameters while digests stay
+latency-independent.  Without a sampler the transport's future is
+returned untouched.
 
 Usage::
 
     node = StoreNode(3)                       # in-process backend
     node = StoreNode(3, transport=await ProcessTransport.spawn())
     await node.put_chunk("key", 0, b"...")
-    await node.get_chunk("key", 0)
+    await (await node.fetch_chunk("key", 0))
     node.drop_chunk("key", 0)  # an overwrite shrank the object
     node.crash()          # chunks gone, node down
     node.restore()        # back up, empty (a replacement device)
@@ -74,54 +77,47 @@ class ChunkIntegrityError(RuntimeError):
 Payload = Union[bytes, "asyncio.Future[bytes]"]
 
 
-def _deliver(source: "asyncio.Future", target: "asyncio.Future",
-             deadline: float | None,
-             transform=None) -> None:
-    """Chain ``source`` into ``target``, releasing no earlier than
-    ``deadline`` (an ``loop.time()`` instant; ``None`` = immediately).
-
-    The sampled delay was drawn at decision time in the deterministic
-    plane; only the wall-clock release happens here, so latency can
-    never reorder control-plane decisions.
-    """
-
-    def ready(fut: "asyncio.Future") -> None:
-        if target.done():
-            return
-        if fut.cancelled():
-            target.cancel()
-            return
-        exc = fut.exception()
-        if exc is not None:
-            target.set_exception(exc)
-            return
+def _settle(target: "asyncio.Future", transform,
+            source: "asyncio.Future") -> None:
+    """Resolve ``target`` as the done ``source`` resolved, passing a
+    result through ``transform`` (``None`` = as is)."""
+    if target.done():
+        return
+    if source.cancelled():
+        target.cancel()
+        return
+    exc = source.exception()
+    if exc is None:
         try:
-            value = fut.result() if transform is None \
-                else transform(fut.result())
-        except BaseException as exc:  # noqa: BLE001 - forwarded, not lost
-            target.set_exception(exc)
+            value = source.result()
+            target.set_result(value if transform is None
+                              else transform(value))
             return
-        target.set_result(value)
+        except BaseException as err:  # noqa: BLE001 - forwarded, not lost
+            exc = err
+    target.set_exception(exc)
 
-    def chain(fut: "asyncio.Future") -> None:
-        if deadline is None:
-            ready(fut)
-            return
-        loop = asyncio.get_running_loop()
-        remaining = deadline - loop.time()
-        if remaining <= 0:
-            ready(fut)
-        else:
-            loop.call_later(remaining, ready, fut)
 
+def _chain(source: "asyncio.Future", transform=None) -> "asyncio.Future":
+    """A new future that resolves like ``source``, through
+    ``transform``."""
+    target = asyncio.get_running_loop().create_future()
     if source.done():
-        chain(source)
+        _settle(target, transform, source)
     else:
-        source.add_done_callback(chain)
+        source.add_done_callback(
+            lambda done: _settle(target, transform, done))
+    return target
 
 
-class _AckTracker:
-    """Outstanding data-plane acknowledgements of one transport."""
+class InFlight:
+    """Outstanding data-plane futures and the failures they surfaced.
+
+    Every tracked future is awaited by :meth:`drain`; its exception is
+    retrieved (never lost to "exception was never retrieved") and kept
+    in :attr:`errors`.  Nodes track their acks with one, the cluster its
+    data-plane tasks.
+    """
 
     def __init__(self) -> None:
         self._outstanding: set[asyncio.Future] = set()
@@ -146,52 +142,33 @@ class _AckTracker:
 
 
 class LocalTransport:
-    """Chunk bytes in a dict inside this very event loop (PR 9 mode)."""
+    """Chunk bytes in a dict inside this very event loop."""
 
     def __init__(self) -> None:
         self._entries: dict[tuple[str, int], Payload] = {}
-        self._acks = _AckTracker()
 
-    @property
-    def errors(self) -> list[BaseException]:
-        return self._acks.errors
-
-    def _future(self) -> "asyncio.Future":
-        return asyncio.get_running_loop().create_future()
-
-    def put(self, key: str, stripe: int, payload: Payload,
-            deadline: float | None) -> "asyncio.Future[None]":
+    def put(self, key: str, stripe: int,
+            payload: Payload) -> "asyncio.Future":
         self._entries[(key, stripe)] = payload
-        ack = self._future()
         if isinstance(payload, asyncio.Future):
-            _deliver(payload, ack, deadline, transform=lambda _: None)
-        elif deadline is None:
-            ack.set_result(None)
-        else:
-            source = self._future()
-            source.set_result(None)
-            _deliver(source, ack, deadline)
-        return self._acks.track(ack)
+            return _chain(payload, lambda _: None)
+        ack = asyncio.get_running_loop().create_future()
+        ack.set_result(None)
+        return ack
 
-    def fetch(self, key: str, stripe: int,
-              deadline: float | None) -> "asyncio.Future[bytes]":
+    def fetch(self, key: str, stripe: int) -> "asyncio.Future[bytes]":
         # The mirror already decided the chunk is present; entries track
         # the mirror synchronously, so a miss here is an integrity bug.
         entry = self._entries.get((key, stripe))
-        out = self._future()
+        if isinstance(entry, asyncio.Future):
+            return _chain(entry)
+        out = asyncio.get_running_loop().create_future()
         if entry is None:
             out.set_exception(ChunkIntegrityError(
                 f"local entry for {(key, stripe)} missing though the "
                 "mirror marked it present"))
-            return out
-        if isinstance(entry, asyncio.Future):
-            _deliver(entry, out, deadline)
-        elif deadline is None:
-            out.set_result(entry)
         else:
-            source = self._future()
-            source.set_result(entry)
-            _deliver(source, out, deadline)
+            out.set_result(entry)
         return out
 
     def drop(self, key: str, stripe: int) -> None:
@@ -213,11 +190,8 @@ class LocalTransport:
             total += len(entry)
         return chunks, total
 
-    async def drain(self) -> None:
-        await self._acks.drain()
-
     async def aclose(self) -> None:
-        await self.drain()
+        pass
 
 
 class ProcessTransport:
@@ -228,13 +202,14 @@ class ProcessTransport:
     preserves call order (holding later frames behind a deferred
     payload), and the server applies frames strictly in order -- so
     the warehouse replays the mirror's decision sequence exactly.
+    ``drop``, ``crash`` and ``restore`` return the server's ack, which
+    the node tracks.
     """
 
     def __init__(self, process: "asyncio.subprocess.Process",
                  client: RpcClient) -> None:
         self.process = process
         self.client = client
-        self._acks = _AckTracker()
         self._closed = False
 
     @classmethod
@@ -253,20 +228,10 @@ class ProcessTransport:
         client = RpcClient(process.stdout, process.stdin, max_frame)
         return cls(process, client)
 
-    @property
-    def errors(self) -> list[BaseException]:
-        return self._acks.errors
-
     @staticmethod
-    def _check_ok(response: tuple[int, bytes]) -> None:
-        status, payload = response
-        if status != rpc.STATUS_OK:
-            raise ChunkIntegrityError(
-                f"node process answered status {status}: "
-                f"{payload[:128]!r}")
-
-    @staticmethod
-    def _check_data(response: tuple[int, bytes]) -> bytes:
+    def _answer(response: tuple[int, bytes]) -> bytes:
+        """The payload of an OK answer; any other status is an
+        integrity failure."""
         status, payload = response
         if status == rpc.STATUS_OK:
             return payload
@@ -277,55 +242,37 @@ class ProcessTransport:
         raise ChunkIntegrityError(
             f"node process answered status {status}: {payload[:128]!r}")
 
-    def put(self, key: str, stripe: int, payload: Payload,
-            deadline: float | None) -> "asyncio.Future[None]":
-        response = self.client.call(
-            Request(rpc.OP_PUT, key, stripe, payload))
-        ack = asyncio.get_running_loop().create_future()
-        _deliver(response, ack, deadline,
-                 transform=lambda resp: self._check_ok(resp))
-        return self._acks.track(ack)
+    def _send(self, request: Request) -> "asyncio.Future[bytes]":
+        return _chain(self.client.call(request), self._answer)
 
-    def fetch(self, key: str, stripe: int,
-              deadline: float | None) -> "asyncio.Future[bytes]":
-        response = self.client.call(Request(rpc.OP_GET, key, stripe))
-        out = asyncio.get_running_loop().create_future()
-        _deliver(response, out, deadline, transform=self._check_data)
-        return out
+    def put(self, key: str, stripe: int,
+            payload: Payload) -> "asyncio.Future":
+        return self._send(Request(rpc.OP_PUT, key, stripe, payload))
 
-    def _send(self, request: Request) -> None:
-        """Enqueue a request whose only answer is an OK ack."""
-        ack = asyncio.get_running_loop().create_future()
-        _deliver(self.client.call(request), ack, None,
-                 transform=lambda resp: self._check_ok(resp))
-        self._acks.track(ack)
+    def fetch(self, key: str, stripe: int) -> "asyncio.Future[bytes]":
+        return self._send(Request(rpc.OP_GET, key, stripe))
 
-    def drop(self, key: str, stripe: int) -> None:
-        self._send(Request(rpc.OP_DROP, key, stripe))
+    def drop(self, key: str, stripe: int) -> "asyncio.Future":
+        return self._send(Request(rpc.OP_DROP, key, stripe))
 
-    def crash(self) -> None:
-        self._send(Request(rpc.OP_CRASH))
+    def crash(self) -> "asyncio.Future":
+        return self._send(Request(rpc.OP_CRASH))
 
-    def restore(self) -> None:
-        self._send(Request(rpc.OP_RESTORE))
+    def restore(self) -> "asyncio.Future":
+        return self._send(Request(rpc.OP_RESTORE))
 
     async def stat(self) -> tuple[int, int]:
-        status, payload = await self.client.call(Request(rpc.OP_STAT))
-        if status != rpc.STATUS_OK:
-            raise ChunkIntegrityError(
-                f"stat answered status {status}: {payload[:128]!r}")
-        return rpc.decode_stat(payload)
-
-    async def drain(self) -> None:
-        await self._acks.drain()
+        return rpc.decode_stat(await self._send(Request(rpc.OP_STAT)))
 
     async def aclose(self) -> None:
-        """Graceful shutdown; escalates to terminate/kill on silence."""
+        """Graceful shutdown; escalates to terminate/kill on silence.
+
+        The SHUTDOWN frame queues behind every frame already enqueued,
+        so the server applies those first."""
         if self._closed:
             return
         self._closed = True
         try:
-            await self._acks.drain()
             response = self.client.call(Request(rpc.OP_SHUTDOWN))
             await asyncio.wait_for(asyncio.shield(response), timeout=5.0)
         except (NodeProcessError, asyncio.TimeoutError, OSError):
@@ -355,6 +302,7 @@ class StoreNode:
         self.transport = transport if transport is not None \
             else LocalTransport()
         self.latency = latency
+        self._acks = InFlight()
         #: Mirror of held chunks: (key, stripe) -> size in bytes.
         self._present: dict[tuple[str, int], int] = {}
         #: Lifetime telemetry (monotonic across crashes/restores).
@@ -365,32 +313,56 @@ class StoreNode:
         self.bytes_written = 0
         self.bytes_read = 0
 
-    def _deadline(self) -> float | None:
-        """Sample the physical delay *now* (deterministic draw order),
-        turning it into a wall-clock release instant for the data
-        plane."""
+    def _hold(self, future: "asyncio.Future") -> "asyncio.Future":
+        """Release ``future`` no earlier than one sampled delay from now.
+
+        The sample is drawn now, at decision time (deterministic draw
+        order); only the wall-clock release waits, so latency can never
+        reorder control-plane decisions.  An answer arriving after the
+        deadline is released at once.
+        """
         if self.latency is None:
-            return None
-        return asyncio.get_running_loop().time() + self.latency.sample_s()
+            return future
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self.latency.sample_s()
+        out = loop.create_future()
+
+        def release(done: "asyncio.Future") -> None:
+            remaining = deadline - loop.time()
+            if remaining <= 0:
+                _settle(out, None, done)
+            else:
+                loop.call_later(remaining, _settle, out, None, done)
+
+        if future.done():
+            release(future)
+        else:
+            future.add_done_callback(release)
+        return out
 
     # ------------------------------------------------------------------ #
     # Async chunk interface
     # ------------------------------------------------------------------ #
+    def _write(self, key: str, stripe: int, payload: Payload,
+               size: int) -> "asyncio.Future[None]":
+        self._require_up()
+        self._present[(key, stripe)] = size
+        self.chunks_written += 1
+        self.bytes_written += size
+        return self._acks.track(
+            self._hold(self.transport.put(key, stripe, payload)))
+
     async def put_chunk(self, key: str, stripe: int,
                         data: bytes) -> "asyncio.Future[None]":
         """Decide a write; returns the data-plane delivery ack.
 
         The mirror is updated (and the write enqueued, in order) before
         returning; the ack future resolves when the bytes physically
-        landed.  Callers that only need PR 9 semantics may ignore it --
-        the transport tracks every ack for ``drain()``.
+        landed.  Callers may ignore it -- the node tracks every ack for
+        ``drain()``.
         """
         await asyncio.sleep(0)
-        self._require_up()
-        self._present[(key, stripe)] = len(data)
-        self.chunks_written += 1
-        self.bytes_written += len(data)
-        return self.transport.put(key, stripe, data, self._deadline())
+        return self._write(key, stripe, data, len(data))
 
     async def put_chunk_deferred(self, key: str, stripe: int,
                                  payload: "asyncio.Future[bytes]",
@@ -403,11 +375,7 @@ class StoreNode:
         resolves.
         """
         await asyncio.sleep(0)
-        self._require_up()
-        self._present[(key, stripe)] = size
-        self.chunks_written += 1
-        self.bytes_written += size
-        return self.transport.put(key, stripe, payload, self._deadline())
+        return self._write(key, stripe, payload, size)
 
     async def fetch_chunk(self, key: str,
                           stripe: int) -> "asyncio.Future[bytes]":
@@ -424,10 +392,7 @@ class StoreNode:
             raise ChunkMissingError((key, stripe))
         self.chunks_read += 1
         self.bytes_read += size
-        return self.transport.fetch(key, stripe, self._deadline())
-
-    async def get_chunk(self, key: str, stripe: int) -> bytes:
-        return await (await self.fetch_chunk(key, stripe))
+        return self._hold(self.transport.fetch(key, stripe))
 
     # ------------------------------------------------------------------ #
     # Synchronous state inspection / failure injection
@@ -435,18 +400,22 @@ class StoreNode:
     def has_chunk(self, key: str, stripe: int) -> bool:
         return self.up and (key, stripe) in self._present
 
+    def _track(self, ack: "asyncio.Future | None") -> None:
+        if ack is not None:
+            self._acks.track(ack)
+
     def drop_chunk(self, key: str, stripe: int) -> None:
         """Forget a chunk its object no longer uses (an overwrite shrank
         the object); the transport drops the bytes in decision order."""
         if self._present.pop((key, stripe), None) is not None:
-            self.transport.drop(key, stripe)
+            self._track(self.transport.drop(key, stripe))
 
     def crash(self) -> None:
         """Fail the device: all stored chunks are lost."""
         self.up = False
         self._present.clear()
         self.crashes += 1
-        self.transport.crash()
+        self._track(self.transport.crash())
 
     def restore(self) -> None:
         """Bring the slot back as an empty replacement device."""
@@ -454,7 +423,7 @@ class StoreNode:
             return
         self.up = True
         self.restores += 1
-        self.transport.restore()
+        self._track(self.transport.restore())
 
     def _require_up(self) -> None:
         if not self.up:
@@ -465,7 +434,7 @@ class StoreNode:
     # ------------------------------------------------------------------ #
     @property
     def dataplane_errors(self) -> list[BaseException]:
-        return self.transport.errors
+        return self._acks.errors
 
     def mirror_stat(self) -> tuple[int, int]:
         """(chunks, bytes) the mirror *believes* the device holds."""
@@ -477,9 +446,10 @@ class StoreNode:
         return await self.transport.stat()
 
     async def drain(self) -> None:
-        await self.transport.drain()
+        await self._acks.drain()
 
     async def aclose(self) -> None:
+        await self.drain()
         await self.transport.aclose()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -55,7 +55,7 @@ from repro.codes.registry import parse_code_spec
 from repro.scenario.spec import ScenarioSpec, ScenarioSpecError
 from repro.store.cluster import StoreCluster
 from repro.store.injector import FailureInjector
-from repro.store.latency import LatencyModel, node_latencies
+from repro.store.latency import node_latencies
 from repro.store.node import LocalTransport, ProcessTransport, StoreNode
 from repro.store.report import StoreReport
 from repro.store.traffic import TrafficGenerator
@@ -106,8 +106,7 @@ async def build_cluster(spec: ScenarioSpec) -> StoreCluster:
     # run_store_async); child 2 seeds the latency samplers.  Spawning
     # is index-keyed, so adding child 2 left 0 and 1 unchanged.
     latency_seed = root.spawn(3)[2]
-    model = LatencyModel.from_store_section(store)
-    latencies = node_latencies(model, code.n, latency_seed)
+    latencies = node_latencies(store, code.n, latency_seed)
     if store.backend == "process":
         transports = await asyncio.gather(*[
             ProcessTransport.spawn() for _ in range(code.n)])

@@ -383,12 +383,12 @@ def test_real_subprocess_round_trip_and_kill_mid_flight():
     async def flow():
         transport = await ProcessTransport.spawn()
         try:
-            await transport.put("k", 0, b"x" * 64, None)
-            assert await transport.fetch("k", 0, None) == b"x" * 64
+            await transport.put("k", 0, b"x" * 64)
+            assert await transport.fetch("k", 0) == b"x" * 64
             assert await transport.stat() == (1, 64)
             # Kill the subprocess with a request in flight: the call
             # errors cleanly instead of hanging.
-            pending = transport.fetch("k", 0, None)
+            pending = transport.fetch("k", 0)
             transport.process.kill()
             with pytest.raises((NodeProcessError, ChunkError)):
                 await pending
@@ -409,7 +409,7 @@ def test_real_subprocess_rejects_oversized_frames():
             # answers ERR; the client surfaces that as a clean integrity
             # failure, never a hang or a torn write.
             with pytest.raises(ChunkIntegrityError, match="ceiling"):
-                await transport.put("k", 0, b"z" * 2048, None)
+                await transport.put("k", 0, b"z" * 2048)
         finally:
             await transport.aclose()
 

@@ -1,4 +1,4 @@
-"""Unit tests for the sharded metadata/lock layer and latency models.
+"""Unit tests for the sharded metadata/lock layer and latency samplers.
 
 The shard map must be stable across *processes* (the subprocess
 backend depends on both sides agreeing), the per-key lock tables must
@@ -14,7 +14,8 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.store import KeyShards, LatencyComponent, LatencyModel, NodeLatency
+from repro.scenario.spec import StoreSection
+from repro.store import KeyShards, NodeLatency
 from repro.store.cluster import ObjectMeta
 from repro.store.latency import node_latencies
 
@@ -89,46 +90,48 @@ def test_shard_count_one_still_works():
 
 
 # --------------------------------------------------------------------------- #
-# Latency models
+# Latency samplers
 # --------------------------------------------------------------------------- #
-def test_component_is_base_plus_exponential_jitter():
-    rng = np.random.default_rng(0)
-    fixed = LatencyComponent(base_ms=3.0)
-    assert fixed.sample_ms(rng) == 3.0
-    jittered = LatencyComponent(base_ms=3.0, jitter_ms=2.0)
-    samples = [jittered.sample_ms(rng) for _ in range(2000)]
+def test_each_term_is_base_plus_exponential_jitter():
+    fixed = NodeLatency(StoreSection(latency_disk_ms=3.0),
+                        np.random.SeedSequence(0))
+    assert fixed.sample_s() == 3.0 / 1000.0
+    jittered = NodeLatency(
+        StoreSection(latency_disk_ms=3.0, latency_disk_jitter_ms=2.0),
+        np.random.SeedSequence(0))
+    samples = [jittered.sample_s() * 1000.0 for _ in range(2000)]
     assert all(s >= 3.0 for s in samples)
     assert np.mean(samples) == pytest.approx(5.0, rel=0.1)
 
 
 def test_from_store_section_returns_none_when_all_knobs_are_zero():
-    from repro.scenario.spec import StoreSection
-    assert LatencyModel.from_store_section(StoreSection()) is None
-    model = LatencyModel.from_store_section(
-        StoreSection(latency_disk_ms=1.5))
-    assert model is not None
-    assert model.network.is_zero and not model.disk.is_zero
+    seed = np.random.SeedSequence(0)
+    assert node_latencies(StoreSection(), 2, seed) == [None, None]
+    samplers = node_latencies(StoreSection(latency_disk_ms=1.5), 2, seed)
+    assert all(isinstance(s, NodeLatency) for s in samplers)
+    # The zero network term adds nothing: every sample is the disk's.
+    assert samplers[0].sample_s() == 1.5 / 1000.0
 
 
 def test_node_latency_samples_are_a_pure_function_of_the_seed():
-    model = LatencyModel(network=LatencyComponent(1.0, 0.5),
-                         disk=LatencyComponent(0.5, 0.25))
-    a = NodeLatency(model, np.random.SeedSequence(42))
-    b = NodeLatency(model, np.random.SeedSequence(42))
+    store = StoreSection(latency_net_rtt_ms=1.0, latency_net_jitter_ms=0.5,
+                         latency_disk_ms=0.5, latency_disk_jitter_ms=0.25)
+    a = NodeLatency(store, np.random.SeedSequence(42))
+    b = NodeLatency(store, np.random.SeedSequence(42))
     assert [a.sample_s() for _ in range(100)] == \
         [b.sample_s() for _ in range(100)]
 
 
 def test_node_latencies_are_independent_per_node():
-    model = LatencyModel(network=LatencyComponent(1.0, 1.0))
-    samplers = node_latencies(model, 4, np.random.SeedSequence(7))
+    store = StoreSection(latency_net_rtt_ms=1.0, latency_net_jitter_ms=1.0)
+    samplers = node_latencies(store, 4, np.random.SeedSequence(7))
     draws = [tuple(s.sample_s() for _ in range(10)) for s in samplers]
     assert len(set(draws)) == 4  # distinct streams
     # And the whole fan-out replays from the same root seed.
-    replay = node_latencies(model, 4, np.random.SeedSequence(7))
+    replay = node_latencies(store, 4, np.random.SeedSequence(7))
     assert draws[0] == tuple(replay[0].sample_s() for _ in range(10))
 
 
 def test_node_latencies_disabled_model_yields_nones():
-    assert node_latencies(None, 3, np.random.SeedSequence(0)) == \
+    assert node_latencies(StoreSection(), 3, np.random.SeedSequence(0)) == \
         [None, None, None]

@@ -15,9 +15,11 @@ import pytest
 from repro.codes.registry import parse_code_spec
 from repro.gf.regions import ReferenceRegionOps
 from repro.store.cluster import ObjectLostError, StoreCluster
-from repro.store.codec import StoreError
+from repro.store.codec import ObjectCodec, StoreError
 from repro.sim.cluster import CoverageModel
-from repro.store.node import LocalTransport, ProcessTransport, StoreNode
+from repro.store.node import (ChunkIntegrityError, LocalTransport,
+                              ProcessTransport, StoreNode)
+from repro.store.rpc import NodeProcessError
 
 
 def run(coro):
@@ -366,6 +368,41 @@ def test_unrecoverable_stripes_are_counted_not_raised():
 
     assert run(flow()) == 0
     assert cluster.report.unrecoverable_stripes == 1
+
+
+@pytest.mark.parametrize("backend", ["inprocess", "process"])
+def test_failed_rebuild_surfaces_and_teardown_finishes(backend,
+                                                       monkeypatch):
+    """A rebuild that raises in the data plane fails the deferred
+    payloads it owed: the failure is reported, a later read of the key
+    raises instead of returning bytes, and teardown still finishes."""
+    code = parse_code_spec("rs(n=6,r=4,m=2)")
+
+    def broken(self, columns, targets):
+        raise RuntimeError("rebuild exploded")
+
+    async def flow():
+        if backend == "process":
+            transports = [await ProcessTransport.spawn()
+                          for _ in range(code.n)]
+        else:
+            transports = [LocalTransport() for _ in range(code.n)]
+        nodes = [StoreNode(j, transport=transports[j])
+                 for j in range(code.n)]
+        cluster = StoreCluster(code, symbol_bytes=16, nodes=nodes)
+        try:
+            await cluster.put("k", payload(100, seed=10))
+            cluster.crash_node(0)  # a data column: reads need it back
+            monkeypatch.setattr(ObjectCodec, "rebuild_columns", broken)
+            assert await cluster.repair_once() == 1
+            await cluster.flush()
+            assert cluster.dataplane_errors()
+            with pytest.raises((ChunkIntegrityError, NodeProcessError)):
+                await asyncio.wait_for(cluster.get("k"), timeout=15.0)
+        finally:
+            await asyncio.wait_for(cluster.aclose(), timeout=15.0)
+
+    run(flow())
 
 
 def test_repair_budget_bounds_concurrency():
