@@ -29,6 +29,15 @@ tripwire: a folded 4 KiB object encode at 128 B symbols is >= 1.5x
 faster than one ``code.encode`` per stripe with per-symbol conversions
 (measured ~1.9x).
 
+``test_encoder_cost_sweep`` is the sweep behind the cost-rule constants
+of :mod:`repro.core.complexity`: it times the three STAIR encoders from
+128 B to 32 KiB symbols, on the ledger code and a wide code at w = 8
+and w = 16, fits the constants and prints which method wins at each
+length.  Its tripwire, ``test_auto_encoder_tracks_fastest_method``: on
+the ledger code, ``method="auto"`` is >= 1.5x faster than upstairs (the
+Mult_XOR winner) at 128 B symbols and within 1.15x of the fastest
+method at 16 KiB.
+
 pytest-benchmark provides the statistical timing; the hard assertions
 use wall-clock directly so they hold even without the plugin's
 comparison machinery.
@@ -38,9 +47,11 @@ import time
 
 import numpy as np
 
+import repro.core.complexity as complexity
 import repro.gf.field as gf_field
 import repro.store.codec as store_codec
 from repro.codes import ReedSolomonStripeCode, parse_code_spec
+from repro.core.config import StairConfig
 from repro.core.stair import StairCode
 from repro.gf.regions import ReferenceRegionOps, RegionOps
 from repro.gf.tables import get_tables
@@ -69,6 +80,18 @@ LEDGER_CODE = "stair(n=8,r=4,m=2,e=(1,1))"
 FOLD_SPEEDUP_FLOOR = 1.5
 #: Folded row lengths the sweep times, beyond one symbol per stripe.
 FOLD_SWEEP_BYTES = (4096, 16384, 65536, 262144)
+
+#: Codes of the encoder cost sweep: the ledger code and two wide codes,
+#: the second with global parities that depend on every data symbol.
+COST_SWEEP_CODES = {"ledger": (8, 4, 2, (1, 1)),
+                    "wide": (16, 16, 2, (1, 1, 2)),
+                    "wide-s1": (16, 16, 2, (1,))}
+#: Symbol lengths of the encoder cost sweep.
+COST_SWEEP_BYTES = (128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768)
+#: ``method="auto"`` against upstairs at 128 B symbols on the ledger code.
+AUTO_SMALL_SPEEDUP_FLOOR = 1.5
+#: ``method="auto"`` against the fastest method at 16 KiB symbols.
+AUTO_LARGE_SLOWDOWN_CEILING = 1.15
 
 
 def _rs_code():
@@ -299,6 +322,144 @@ def test_fold_sweep_summary(capsys, monkeypatch):
             print(f"  {symbol_bytes:5d} B symbols, {label:>10s} rows: "
                   f"encode {encode * 1e6:7.1f} us, "
                   f"decode {decode * 1e6:7.1f} us")
+
+
+def _stair_code(params, w, monkeypatch):
+    """A STAIR code of ``params = (n, r, m, e)`` over GF(2^w).  The
+    sweep's geometries fit w = 8; w = 16 is forced through
+    ``StairConfig.field`` so both widths time the same schedules."""
+    n, r, m, e = params
+    with monkeypatch.context() as patch:
+        patch.setattr(StairConfig, "field",
+                      lambda self: gf_field.get_field(w))
+        return StairCode(StairConfig(n=n, r=r, m=m, e=e))
+
+
+def _sweep_data(code, symbol_bytes, seed=6):
+    rng = np.random.default_rng(seed)
+    dtype = code.field.element_dtype
+    return [rng.integers(0, code.field.order, symbol_bytes // dtype.itemsize,
+                         dtype=dtype)
+            for _ in range(code.config.num_data_symbols)]
+
+
+def _time_methods(code, data, rounds):
+    """Best microseconds of one encode per method, rounds interleaved."""
+    methods = complexity.METHODS
+    grids = [code.encode(data, method=method).symbols for method in methods]
+    for grid in grids[1:]:
+        assert all(np.array_equal(a, b)
+                   for row_a, row_b in zip(grids[0], grid)
+                   for a, b in zip(row_a, row_b))
+    timings = {method: [] for method in methods}
+    for _ in range(rounds):
+        for method in methods:
+            start = time.perf_counter()
+            code.encode(data, method=method)
+            timings[method].append(time.perf_counter() - start)
+    return {method: min(t) * 1e6 for method, t in timings.items()}
+
+
+def _fit_cost_constants(rows):
+    """Least-squares fit of the cost rule, in relative error:
+    ``(KERNEL_CALL_US, {w: MULT_XOR_US}, {w: MULT_XOR_BYTE_US})``."""
+    widths = sorted({row[0] for row in rows})
+    features, weights = [], []
+    for w, _, symbol_bytes, _, mult_xors, calls, elapsed_us in rows:
+        per_width = [mult_xors * (w == width) for width in widths]
+        features.append([calls, *per_width,
+                         *[x * symbol_bytes for x in per_width]])
+        weights.append(1.0 / elapsed_us)
+    weights = np.array(weights)
+    fit, *_ = np.linalg.lstsq(np.array(features) * weights[:, None],
+                              np.ones(len(rows)), rcond=None)
+    return (fit[0], dict(zip(widths, fit[1:1 + len(widths)])),
+            dict(zip(widths, fit[1 + len(widths):])))
+
+
+def test_encoder_cost_sweep(capsys, monkeypatch):
+    """Time upstairs, downstairs and standard encoding by symbol length,
+    fit the cost rule and report the winners.
+
+    Each row is the best of interleaved rounds.  The table marks
+    where the shipped constants pick a method other than the measured
+    fastest, and by how much that pick is slower."""
+    rows, table = [], []
+    for w in (8, 16):
+        for label, params in COST_SWEEP_CODES.items():
+            code = _stair_code(params, w, monkeypatch)
+            mult_xors = code.mult_xor_counts()
+            calls = code.kernel_call_counts()
+            for symbol_bytes in COST_SWEEP_BYTES:
+                data = _sweep_data(code, symbol_bytes)
+                rounds = 7 if symbol_bytes * len(data) <= 1 << 20 else 3
+                timings = _time_methods(code, data, rounds)
+                for method, elapsed in timings.items():
+                    rows.append((w, label, symbol_bytes, method,
+                                 getattr(mult_xors, method),
+                                 getattr(calls, method), elapsed))
+                picked = code.select_encoding_method(symbol_bytes)
+                fastest = min(timings, key=timings.get)
+                table.append((w, label, symbol_bytes, timings, fastest,
+                              picked, timings[picked] / timings[fastest]))
+    call_us, mult_xor_us, byte_us = _fit_cost_constants(rows)
+    with capsys.disabled():
+        print("\n[bench_coding_throughput] encoder cost sweep, best us "
+              "per encode (* = fastest; auto = the shipped cost rule)")
+        for w, label, size, timings, fastest, picked, ratio in table:
+            cells = "  ".join(
+                f"{method[:4]} {elapsed:8.0f}{'*' if method == fastest else ' '}"
+                for method, elapsed in timings.items())
+            print(f"  w={w:2d} {label:6s} {size:6d} B: {cells}  auto: "
+                  f"{picked}" + (f" ({ratio:.2f}x)" if ratio > 1 else ""))
+        for name, (call, fixed, per_byte) in {
+                "fit": (call_us, mult_xor_us, byte_us),
+                "shipped": (complexity.KERNEL_CALL_US, complexity.MULT_XOR_US,
+                            complexity.MULT_XOR_BYTE_US)}.items():
+            print(f"  {name + ':':8s} KERNEL_CALL_US {call:5.1f}, "
+                  + ", ".join(f"w={w}: MULT_XOR_US {fixed[w]:.3f} "
+                              f"MULT_XOR_BYTE_US {per_byte[w]:.5f}"
+                              for w in sorted(fixed)))
+
+
+def _best_interleaved(fns, calls, runs=9):
+    """Best per-call wall-clock of each of ``fns``, their batches
+    interleaved so a change of machine speed hits them alike."""
+    best = {name: float("inf") for name in fns}
+    for _ in range(runs):
+        for name, fn in fns.items():
+            elapsed, _ = _best_of(lambda: [fn() for _ in range(calls)],
+                                  runs=1)
+            best[name] = min(best[name], elapsed / calls)
+    return best
+
+
+def test_auto_encoder_tracks_fastest_method():
+    """Tripwire for the cost rule on the store's ledger code: "auto"
+    beats upstairs (the Mult_XOR winner) on short symbols and stays
+    with the fastest method on long ones."""
+    code = parse_code_spec(LEDGER_CODE).code
+    small = _sweep_data(code, 128)
+    t = _best_interleaved({
+        "auto": lambda: code.encode(small),
+        "upstairs": lambda: code.encode(small, method="upstairs")},
+        calls=20)
+    speedup = t["upstairs"] / t["auto"]
+    assert speedup >= AUTO_SMALL_SPEEDUP_FLOOR, (
+        f"auto encode at 128 B symbols only {speedup:.2f}x faster than "
+        f"upstairs ({t['auto'] * 1e6:.0f} vs {t['upstairs'] * 1e6:.0f} us; "
+        f"floor: {AUTO_SMALL_SPEEDUP_FLOOR}x)")
+    large = _sweep_data(code, 16384)
+    t = _best_interleaved({
+        "auto": lambda: code.encode(large),
+        **{method: lambda method=method: code.encode(large, method=method)
+           for method in complexity.METHODS}}, calls=3)
+    fastest = min(t[method] for method in complexity.METHODS)
+    slowdown = t["auto"] / fastest
+    assert slowdown <= AUTO_LARGE_SLOWDOWN_CEILING, (
+        f"auto encode at 16 KiB symbols {slowdown:.2f}x slower than the "
+        f"fastest method ({t['auto'] * 1e6:.0f} vs {fastest * 1e6:.0f} us; "
+        f"ceiling: {AUTO_LARGE_SLOWDOWN_CEILING}x)")
 
 
 def test_bench_rs_bulk_encode(benchmark):

@@ -22,8 +22,9 @@ def main() -> None:
     print(f"Parity symbols     : {config.num_parity_symbols} "
           f"(2 parity chunks + {config.s} in-stripe global parity sectors)")
     print(f"Storage efficiency : {config.storage_efficiency:.3f}")
-    print(f"Encoding method    : {code.select_encoding_method()} "
-          f"(costs: {code.mult_xor_counts()})")
+    print(f"Encoding method    : {code.select_encoding_method(64)} for "
+          f"64-byte sectors, {code.select_encoding_method()} by Mult_XORs "
+          f"(counts: {code.mult_xor_counts()})")
 
     # 2. Encode one stripe of random user data (64-byte sectors here).
     rng = np.random.default_rng(2014)

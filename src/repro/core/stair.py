@@ -13,7 +13,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.complexity import EncodingCosts, choose_encoding_method, encoding_costs
+from repro.core.complexity import (
+    EncodingCosts,
+    encoding_costs,
+    fastest_encoding_method,
+    kernel_calls,
+)
 from repro.core.config import StairConfig
 from repro.core.decoder import StairDecoder, check_coverage
 from repro.core.encoder_downstairs import DownstairsEncoder
@@ -45,9 +50,9 @@ class StairCode:
     config:
         The STAIR configuration (or pass n/r/m/e via :meth:`from_params`).
     method:
-        Default encoding method.  ``"auto"`` (the paper's behaviour)
-        pre-computes the Mult_XOR counts of all methods and picks the
-        cheapest.
+        Default encoding method.  ``"auto"`` picks, per encode, the
+        method with the lowest estimated time for the symbol length
+        being encoded (:meth:`select_encoding_method`).
     mds_construction:
         ``"cauchy"`` (paper default) or ``"vandermonde"``: which systematic
         MDS construction to use for both C_row and C_col.
@@ -68,6 +73,8 @@ class StairCode:
         self._decoder = StairDecoder(config, self.layout, self.crow, self.ccol)
         self._parity_coefficients: np.ndarray | None = None
         self._standard: StandardEncoder | None = None
+        self._mult_xors: EncodingCosts | None = None
+        self._kernel_calls: EncodingCosts | None = None
         #: Mult_XOR counter shared by every encode/decode done through this
         #: object (reset it via ``code.counter.reset()``).
         self.counter = OperationCounter()
@@ -123,7 +130,8 @@ class StairCode:
         if method not in ENCODING_METHODS:
             raise EncodingInputError(f"unknown encoding method {method!r}")
         if method == "auto":
-            method = self.select_encoding_method()
+            method = self.select_encoding_method(
+                np.asarray(data[0]).nbytes if len(data) else None)
         ops = self._ops()
         if method == "upstairs":
             grid = self._upstairs.encode(data, ops=ops)
@@ -157,14 +165,21 @@ class StairCode:
                         for sym in repaired.data_symbols())
         return blob if length is None else blob[:length]
 
-    def select_encoding_method(self) -> str:
-        """Choose the cheapest encoding method for this configuration.
+    def select_encoding_method(self, symbol_bytes: int | None = None) -> str:
+        """Choose the encoding method for this configuration.
 
-        Standard encoding is only considered once its generator matrix has
-        been derived (deriving it costs one symbolic encode); upstairs and
-        downstairs are compared analytically via Eq. (5) and Eq. (6).
+        Without ``symbol_bytes``: the paper's count rule, the fewest
+        Mult_XORs (Eq. 5, Eq. 6 and the exact standard count).  With it:
+        the lowest estimated time of one encode over symbols of that
+        many bytes (:func:`~repro.core.complexity.fastest_encoding_method`),
+        which is what ``method="auto"`` uses.  Either way the generator
+        is derived on first use (one symbolic encode) and cached.
         """
-        return choose_encoding_method(self.config, self._parity_coefficients)
+        mult_xors = self.mult_xor_counts()
+        if symbol_bytes is None:
+            return mult_xors.best_method()
+        return fastest_encoding_method(mult_xors, self.kernel_call_counts(),
+                                       symbol_bytes, self.field.w)
 
     # ------------------------------------------------------------------ #
     # Decoding
@@ -258,7 +273,27 @@ class StairCode:
 
     def mult_xor_counts(self) -> EncodingCosts:
         """Analytical Mult_XOR counts of the three encoding methods (Fig. 9)."""
-        return encoding_costs(self.config, self.parity_coefficients())
+        if self._mult_xors is None:
+            self._mult_xors = encoding_costs(self.config,
+                                             self.parity_coefficients())
+        return self._mult_xors
+
+    def kernel_call_counts(self) -> EncodingCosts:
+        """Bulk-kernel calls of one encode by each method (cached).
+
+        Upstairs and downstairs make one per line recovery of their
+        schedules, standard encoding one.  Each schedule is run once on
+        one-element symbols (:func:`~repro.core.complexity.kernel_calls`),
+        upstairs and downstairs by fresh encoders so no
+        ``last_schedule`` changes.
+        """
+        if self._kernel_calls is None:
+            parts = (self.config, self.layout, self.crow, self.ccol)
+            self._kernel_calls = EncodingCosts(
+                upstairs=kernel_calls(UpstairsEncoder(*parts), self.field),
+                downstairs=kernel_calls(DownstairsEncoder(*parts), self.field),
+                standard=kernel_calls(self.standard_encoder(), self.field))
+        return self._kernel_calls
 
     def update_penalty(self) -> float:
         """Average parity symbols rewritten per data-symbol update (Figs. 14-15)."""

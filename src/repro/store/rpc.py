@@ -200,9 +200,12 @@ class RpcClient:
     order (a request whose payload is itself a pending future blocks
     the queue until the bytes exist -- later requests wait, preserving
     the order the deterministic mirror decided); the server answers in
-    order, so responses match pending futures FIFO.  Peer death fails
-    every outstanding and future call with :class:`NodeProcessError`
-    instead of hanging.
+    order, so responses match pending futures FIFO.  A deferred payload
+    that fails fails only its own call: the frame goes out as a
+    ``DROP`` of that chunk instead, whose answer is discarded, so the
+    warehouse holds no stale bytes for it and the FIFO stays aligned.
+    Peer death fails every outstanding and future call with
+    :class:`NodeProcessError` instead of hanging.
     """
 
     def __init__(self, reader: asyncio.StreamReader,
@@ -211,7 +214,8 @@ class RpcClient:
         self._reader = reader
         self._writer = writer
         self._max_frame = max_frame
-        self._outbox: asyncio.Queue[Request | None] = asyncio.Queue()
+        self._outbox: asyncio.Queue[
+            tuple[Request, asyncio.Future] | None] = asyncio.Queue()
         self._pending: list[asyncio.Future[tuple[int, bytes]]] = []
         self._dead: BaseException | None = None
         self._tasks = [
@@ -228,18 +232,26 @@ class RpcClient:
             future.set_exception(NodeProcessError(str(self._dead)))
             return future
         self._pending.append(future)
-        self._outbox.put_nowait(request)
+        self._outbox.put_nowait((request, future))
         return future
 
     async def _write_loop(self) -> None:
         try:
             while True:
-                request = await self._outbox.get()
-                if request is None:
+                item = await self._outbox.get()
+                if item is None:
                     return
+                request, future = item
                 payload = request.payload
                 if isinstance(payload, asyncio.Future):
-                    payload = await payload
+                    try:
+                        payload = await payload
+                    except Exception as exc:
+                        if not future.done():
+                            future.set_exception(exc)
+                        request = Request(OP_DROP, request.key,
+                                          request.stripe)
+                        payload = b""
                 self._writer.write(
                     encode_frame(request.encode(payload)))
                 await self._writer.drain()

@@ -117,11 +117,14 @@ class TrafficGenerator:
     # Execution
     # ------------------------------------------------------------------ #
     async def load(self) -> None:
-        """Preload every object (not latency-measured, not injected)."""
+        """Preload every object (not latency-measured, not injected)
+        and settle the preload's data plane, so the measured run does
+        not start behind it (or behind node subprocesses booting)."""
         for obj in range(self.store.objects):
             payload = make_payload(int(self._payload_seeds[obj]),
                                    int(self._sizes[obj]))
             await self.cluster.put(self.key_name(obj), payload)
+        await self.cluster.flush()
 
     async def run(self) -> None:
         """Drain the closed-loop schedule with ``clients`` workers.

@@ -13,8 +13,11 @@ from repro.core import (
     standard_mult_xors,
     upstairs_mult_xors,
 )
+from repro.core.complexity import estimated_encode_us
 
 EXAMPLE = StairConfig(n=8, r=4, m=2, e=(1, 1, 2))
+#: The code of every store workload in ``benchmarks/ledger``.
+LEDGER = StairConfig(n=8, r=4, m=2, e=(1, 1))
 
 
 class TestAnalyticalCounts:
@@ -97,3 +100,72 @@ class TestMeasuredCounts:
         assert costs.upstairs == 120
         assert costs.downstairs == 136
         assert costs.standard > 0
+
+
+def _data(config, symbol_bytes, seed=0):
+    rng = np.random.default_rng(seed)
+    return [rng.integers(0, 256, symbol_bytes, dtype=np.uint8)
+            for _ in range(config.num_data_symbols)]
+
+
+class TestEncoderSelection:
+    """Which encoder ``method="auto"`` runs: the cost rule by symbol
+    length, the paper's count rule without one."""
+
+    @pytest.mark.parametrize("symbol_bytes", [128, 384, 1024])
+    def test_ledger_code_short_symbols_pick_standard(self, symbol_bytes):
+        assert StairCode(LEDGER).select_encoding_method(
+            symbol_bytes) == "standard"
+
+    def test_ledger_code_long_symbols_stay_off_standard(self):
+        # large-objects encodes one 16 KiB stripe per call.
+        assert StairCode(LEDGER).select_encoding_method(
+            16384) in ("upstairs", "downstairs")
+
+    def test_without_symbol_length_the_mult_xor_winner(self):
+        code = StairCode(LEDGER)
+        costs = code.mult_xor_counts()
+        assert (costs.upstairs, costs.downstairs) == (84, 104)
+        assert code.select_encoding_method() == costs.best_method() \
+            == "upstairs"
+
+    @pytest.mark.parametrize("params,expected", [
+        ((4, 2, 1, (1, 1)), "standard"),   # counts 18 / 22 / 13
+        ((8, 4, 2, (1, 1)), "upstairs"),
+        ((8, 16, 2, (4,)), "downstairs"),
+    ])
+    def test_count_rule_does_not_depend_on_call_history(self, params,
+                                                         expected):
+        n, r, m, e = params
+        fresh = StairCode(StairConfig(n=n, r=r, m=m, e=e))
+        derived = StairCode(StairConfig(n=n, r=r, m=m, e=e))
+        derived.mult_xor_counts()
+        assert fresh.select_encoding_method() == expected
+        assert derived.select_encoding_method() == expected
+
+    @pytest.mark.parametrize("symbol_bytes", [128, 16384])
+    def test_auto_runs_the_selected_encoder(self, symbol_bytes):
+        code = StairCode(LEDGER)
+        data = _data(LEDGER, symbol_bytes)
+        code.counter.reset()
+        code.encode(data)
+        auto = code.counter.snapshot()
+        code.counter.reset()
+        code.encode(data, method=code.select_encoding_method(symbol_bytes))
+        assert code.counter.snapshot() == auto
+
+    def test_kernel_calls_counted_from_the_schedules(self):
+        code = StairCode(LEDGER)
+        calls = code.kernel_call_counts()
+        assert (calls.upstairs, calls.downstairs, calls.standard) == (8, 6, 1)
+        # Counted by fresh encoders: no schedule of this code changes.
+        assert code.last_downstairs_schedule == []
+        code.counter.reset()
+        code.encode(_data(LEDGER, 16), method="downstairs")
+        assert len(code.last_downstairs_schedule) == calls.downstairs
+
+    def test_cost_rule_reads_the_field_width(self):
+        # w = 16 multiplies through log/antilog tables: more per byte.
+        assert estimated_encode_us(118, 1, 4096, 16) > \
+            estimated_encode_us(118, 1, 4096, 8) > \
+            estimated_encode_us(118, 1, 128, 8)

@@ -339,6 +339,35 @@ def test_deferred_payload_future_preserves_frame_order():
     run(flow())
 
 
+def test_failed_deferred_payload_fails_only_its_call():
+    """A deferred payload that raises fails its own put; the chunk is
+    dropped rather than left stale, and every later call still gets its
+    own answer."""
+    async def flow():
+        (client_r, client_w), (server_r, server_w) = await stream_pair()
+        task = asyncio.create_task(serve(server_r, server_w))
+        client = RpcClient(client_r, client_w)
+        assert await client.call(Request(rpc.OP_PUT, "k", 0, b"stale")) \
+            == (rpc.STATUS_OK, b"")
+        pending = asyncio.get_running_loop().create_future()
+        put = client.call(Request(rpc.OP_PUT, "k", 0, pending))
+        get = client.call(Request(rpc.OP_GET, "k", 0))
+        other = client.call(Request(rpc.OP_PUT, "x", 1, b"fresh"))
+        await asyncio.sleep(0.01)  # let the write loop block on it
+        pending.set_exception(RuntimeError("rebuild exploded"))
+        with pytest.raises(RuntimeError, match="rebuild exploded"):
+            await put
+        assert await get == (rpc.STATUS_MISSING, b"")
+        assert await other == (rpc.STATUS_OK, b"")
+        assert await client.call(Request(rpc.OP_GET, "x", 1)) \
+            == (rpc.STATUS_OK, b"fresh")
+        await client.aclose()
+        server_w.close()
+        await task
+
+    run(flow())
+
+
 def test_peer_death_fails_every_outstanding_call():
     async def flow():
         (client_r, client_w), (server_r, server_w) = await stream_pair()

@@ -375,7 +375,8 @@ def test_failed_rebuild_surfaces_and_teardown_finishes(backend,
                                                        monkeypatch):
     """A rebuild that raises in the data plane fails the deferred
     payloads it owed: the failure is reported, a later read of the key
-    raises instead of returning bytes, and teardown still finishes."""
+    raises instead of returning bytes, the node still serves other
+    keys, and teardown still finishes."""
     code = parse_code_spec("rs(n=6,r=4,m=2)")
 
     def broken(self, columns, targets):
@@ -399,6 +400,14 @@ def test_failed_rebuild_surfaces_and_teardown_finishes(backend,
             assert cluster.dataplane_errors()
             with pytest.raises((ChunkIntegrityError, NodeProcessError)):
                 await asyncio.wait_for(cluster.get("k"), timeout=15.0)
+            # Only the failed chunks are lost: node 0 (a data column,
+            # repaired back up) takes and serves a fresh key exactly.
+            assert cluster.nodes[0].up
+            fresh = payload(100, seed=11)
+            await cluster.put("other", fresh)
+            assert await asyncio.wait_for(cluster.get("other"),
+                                          timeout=15.0) == fresh
+            await cluster.flush()
         finally:
             await asyncio.wait_for(cluster.aclose(), timeout=15.0)
 

@@ -8,6 +8,8 @@ import pytest
 from repro.codes.registry import parse_code_spec
 from repro.scenario.spec import StoreSection
 from repro.store.cluster import StoreCluster
+from repro.store.latency import node_latencies
+from repro.store.node import StoreNode
 from repro.store.traffic import TrafficGenerator, make_payload, verify_payload
 
 
@@ -104,3 +106,26 @@ def test_closed_loop_run_counts_every_operation():
     assert report.failed_reads == 0
     assert len(report.put_latencies) == report.puts - 20
     assert len(report.get_latencies) == report.gets
+
+
+def test_load_settles_the_preload_data_plane():
+    """The measured run starts with no preload delivery in flight: every
+    put's ack is drained, even with node latency holding them back."""
+    store = StoreSection(objects=12, object_bytes=512, symbol_bytes=16,
+                         operations=10, clients=2, latency_disk_ms=5.0)
+    code = parse_code_spec("rs(n=6,r=4,m=2)")
+    latencies = node_latencies(store, code.n, np.random.SeedSequence(1))
+    nodes = [StoreNode(j, latency=latencies[j]) for j in range(code.n)]
+
+    async def flow():
+        cluster = StoreCluster(code, symbol_bytes=store.symbol_bytes,
+                               nodes=nodes)
+        traffic = TrafficGenerator(cluster, store,
+                                   np.random.SeedSequence(3))
+        await traffic.load()
+        in_flight = sum(len(node._acks._outstanding) for node in nodes)
+        tasks = len(cluster._tasks._outstanding)
+        await cluster.aclose()
+        return in_flight, tasks
+
+    assert asyncio.run(flow()) == (0, 0)
