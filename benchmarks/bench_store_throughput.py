@@ -13,6 +13,7 @@ contention, per-chunk churn) fails CI rather than landing silently:
 * >= 500 degraded gets/s with one data column lost;
 * >= 350 stripe repairs/s in a single repair pass;
 * >= 60 puts/s through the subprocess backend (RPC framing + pipes);
+* >= 400 healthy gets/s through the subprocess backend;
 * >= 20000 sharded metadata lookups/s at a 100k-key population.
 
 Measured at floor-setting time: ~2700 puts/s, ~18000 gets/s, ~4400
@@ -136,6 +137,10 @@ def test_repair_throughput_meets_floor():
 # frames + acks dominate) and ~220k sharded metadata lookups/s, so the
 # floors below carry ~5x and ~11x headroom respectively.
 PROCESS_PUT_FLOOR_OPS = 60.0
+#: Healthy gets over the subprocess backend measured ~1900 ops/s (one
+#: fetch frame per data column, 2-vCPU VM), so this floor carries ~5x
+#: headroom too.
+PROCESS_GET_FLOOR_OPS = 400.0
 SHARDED_KEYS = 100_000
 SHARDED_LOOKUPS = 20_000
 SHARDED_GET_FLOOR_OPS = 20_000.0
@@ -172,6 +177,41 @@ def test_process_backend_put_throughput_meets_floor():
     assert rate >= PROCESS_PUT_FLOOR_OPS, (
         f"process-backend puts: {rate:.0f} ops/s < floor "
         f"{PROCESS_PUT_FLOOR_OPS} ({OBJECTS} x {OBJECT_BYTES} B objects)")
+
+
+def test_process_backend_get_throughput_meets_floor():
+    """Healthy gets through one subprocess per node: each get is one
+    fetch frame per data column and one reply each, so a regression to
+    a frame per chunk, or lost pipelining, lands here."""
+    from repro.store import ProcessTransport
+    from repro.store.node import StoreNode
+
+    rng = np.random.default_rng(4)
+    payloads = [rng.bytes(OBJECT_BYTES) for _ in range(OBJECTS)]
+    code = parse_code_spec("rs(n=6,r=4,m=2)")
+
+    async def run_once() -> float:
+        transports = await asyncio.gather(*[
+            ProcessTransport.spawn() for _ in range(code.n)])
+        nodes = [StoreNode(j, transport=transports[j])
+                 for j in range(code.n)]
+        async with StoreCluster(code, symbol_bytes=SYMBOL_BYTES,
+                                nodes=nodes) as cluster:
+            for i, payload in enumerate(payloads):
+                await cluster.put(f"obj-{i}", payload)
+            await cluster.flush()
+            start = time.perf_counter()
+            for i, payload in enumerate(payloads):
+                assert await cluster.get(f"obj-{i}") == payload
+            elapsed = time.perf_counter() - start
+            assert cluster.report.degraded_reads == 0
+            return elapsed
+
+    best = min(asyncio.run(run_once()) for _ in range(2))
+    rate = OBJECTS / best
+    assert rate >= PROCESS_GET_FLOOR_OPS, (
+        f"process-backend healthy gets: {rate:.0f} ops/s < floor "
+        f"{PROCESS_GET_FLOOR_OPS} ({OBJECTS} x {OBJECT_BYTES} B objects)")
 
 
 def test_sharded_metadata_get_scaling_meets_floor():

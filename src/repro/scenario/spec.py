@@ -240,7 +240,8 @@ class StoreSection:
     backend: str = "inprocess"
     #: Metadata / per-key-lock shard count of the cluster's key space.
     meta_shards: int = 16
-    #: Physical latency model, applied per chunk operation at the node
+    #: Physical latency model, applied per node operation (all of one
+    #: object's chunks on that node) at the node
     #: boundary: network round-trip base + exponential jitter plus disk
     #: service base + exponential jitter (milliseconds; all 0 = off).
     latency_net_rtt_ms: float = 0.0

@@ -13,26 +13,29 @@ wait on data.
 
 Serving paths:
 
-* ``put(key, data)`` -- encode through the bulk-kernel path and fan the
-  ``n`` chunk writes out; a down node simply misses its chunk (the
-  stripe starts life degraded and the repair loop owes it a rebuild).
-  Returns a :class:`PutTicket` whose ``settled()`` awaits physical
-  delivery -- callers wanting only PR 9 semantics ignore it;
-* ``get_submit(key)`` -- the two-phase read.  The submit decides, under
-  the key's lock, which columns serve each stripe (healthy reads touch
-  only data-carrying columns and never decode; degraded reads capture
-  every surviving column and are served iff the code's exact
+* ``put(key, data)`` -- encode through the bulk-kernel path, yield once,
+  then hand every up node all of its chunks in one ``put_chunks`` call
+  (one RPC frame per node on the process backend); a down node simply
+  misses its chunks (the stripes start life degraded and the repair
+  loop owes them a rebuild).  Returns a :class:`PutTicket` whose
+  ``settled()`` awaits physical delivery;
+* ``get_submit(key)`` -- the two-phase read.  After one yield the
+  submit decides, under the key's lock and without yielding again,
+  which columns serve each stripe (healthy reads touch only
+  data-carrying columns and never decode; degraded reads capture every
+  surviving column and are served iff the code's exact
   ``recoverable`` predicate accepts the missing columns) and captures
-  snapshot promises for the bytes.  The returned :class:`GetTicket`
-  assembles them (decoding degraded stripes) entirely in the data
-  plane, so a later crash or overwrite cannot tear an already-decided
-  read;
+  one snapshot promise per node for all the stripes it serves.  The
+  returned :class:`GetTicket` assembles them (decoding degraded
+  stripes) entirely in the data plane, so a later crash or overwrite
+  cannot tear an already-decided read;
 * ``get(key)`` -- submit + assemble, for direct callers;
 * ``repair_once()`` / ``repair_forever()`` -- budgeted repair: at most
   ``ceil(repair_streams)`` stripes in flight (the store-level reading
-  of the simulator's processor-sharing budget).  Placement of rebuilt
-  chunks is decided immediately; the decode producing their bytes runs
-  as a tracked data-plane task that resolves the deferred payloads.
+  of the simulator's processor-sharing budget).  A stripe's captures
+  and the placement of its rebuilt chunks are decided in one step; the
+  decode producing their bytes runs as a tracked data-plane task that
+  resolves the deferred payloads.
 
 Metadata and per-key ordering locks are sharded by key CRC across
 ``meta_shards`` independent tables, so millions-of-keys populations
@@ -66,8 +69,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.codes.base import StripeCode
 from repro.store.codec import ObjectCodec, StoreError
-from repro.store.node import (ChunkIntegrityError, ChunkMissingError,
-                              InFlight, NodeDownError, StoreNode)
+from repro.store.node import ChunkIntegrityError, InFlight, StoreNode
 from repro.store.report import StoreReport
 
 
@@ -146,17 +148,6 @@ class KeyShards:
 
 
 @dataclass
-class _StripeRead:
-    """One stripe's decided read: captured column promises."""
-
-    degraded: bool
-    #: column -> data-plane promise, only the columns the decision
-    #: captured (data columns when healthy, all survivors when
-    #: degraded).
-    promises: dict[int, "asyncio.Future[bytes]"]
-
-
-@dataclass
 class GetTicket:
     """A decided read; ``data()`` assembles the bytes in the data plane."""
 
@@ -164,7 +155,13 @@ class GetTicket:
     size: int
     degraded: bool
     _codec: ObjectCodec
-    _stripes: list[_StripeRead] = field(default_factory=list)
+    #: Per stripe, whether it decodes and the columns its read captured
+    #: (the data columns when healthy, every survivor when degraded).
+    _plans: list[tuple[bool, tuple[int, ...]]] = field(default_factory=list)
+    #: Column -> one promise for that node's captured chunks, in stripe
+    #: order.
+    _promises: dict[int, "asyncio.Future[list[bytes]]"] = field(
+        default_factory=dict)
 
     async def data(self) -> bytes:
         """Await the captured chunks and assemble the object.
@@ -176,15 +173,16 @@ class GetTicket:
         ``decode_stripe`` decodes in folded code calls.
         """
         n, payload = self._codec.code.n, self._codec.stripe_payload_bytes
-        pieces: list = [b""] * len(self._stripes)
+        chunks = {col: iter(await promise)
+                  for col, promise in self._promises.items()}
+        pieces: list = [b""] * len(self._plans)
         runs: dict[tuple[int, ...], list[tuple[int, list]]] = {}
-        for index, plan in enumerate(self._stripes):
+        for index, (degraded, captured) in enumerate(self._plans):
             columns: list[Optional[bytes]] = [None] * n
-            for col, promise in plan.promises.items():
-                columns[col] = await promise
-            if plan.degraded:
-                runs.setdefault(tuple(plan.promises), []).append(
-                    (index, columns))
+            for col in captured:
+                columns[col] = next(chunks[col])
+            if degraded:
+                runs.setdefault(captured, []).append((index, columns))
             else:
                 pieces[index] = self._codec.extract_payload(columns)
         for captured, members in runs.items():
@@ -276,32 +274,42 @@ class StoreCluster:
 
         Returns once placement is decided (mirrors updated, writes
         enqueued in order); the ticket's ``settled()`` awaits the
-        data-plane delivery acks.  An overwrite with fewer stripes
+        data-plane delivery acks.  The decision is one step: every up
+        node gets all of its chunks in one ``put_chunks`` call, and a
+        down node misses every stripe.  An overwrite with fewer stripes
         drops the old surplus stripes from every node.
         """
         ticket = PutTicket(key)
+        if self._repairs_in_flight:
+            self.report.interfered_ops += 1
         async with self.shards.lock(key):
-            if self._repairs_in_flight:
-                self.report.interfered_ops += 1
+            chunks = self.codec.encode_object(data)
+            await asyncio.sleep(0)
             old_stripes = (self.shards.meta(key).stripes
                            if key in self.shards else 0)
-            chunks = self.codec.encode_object(data)
-            for stripe_index, columns in enumerate(chunks):
-                written = await asyncio.gather(*[
-                    self._try_put_chunk(ticket, j, key, stripe_index,
-                                        columns[j])
-                    for j in range(self.code.n)])
-                missing = len(written) - sum(written)
-                if missing:
-                    self.report.partial_put_stripes += 1
-                    self._suspect_stripes.add((key, stripe_index))
-                    self._damage.set()
-                else:
-                    self._suspect_stripes.discard((key, stripe_index))
-            for stripe_index in range(len(chunks), old_stripes):
+            stripes = range(len(chunks))
+            missed = 0
+            for node in self.nodes:
+                if not node.up:
+                    missed += 1
+                elif chunks:
+                    ticket._acks.append(node.put_chunks(
+                        key, stripes,
+                        [columns[node.index] for columns in chunks]))
+            if missed and chunks:
+                self.report.partial_put_stripes += len(chunks)
+                self._suspect_stripes.update(
+                    (key, stripe) for stripe in stripes)
+                self._damage.set()
+            else:
+                self._suspect_stripes.difference_update(
+                    (key, stripe) for stripe in stripes)
+            surplus = range(len(chunks), old_stripes)
+            if surplus:
                 for node in self.nodes:
-                    node.drop_chunk(key, stripe_index)
-                self._suspect_stripes.discard((key, stripe_index))
+                    node.drop_chunks(key, surplus)
+                self._suspect_stripes.difference_update(
+                    (key, stripe) for stripe in surplus)
             self.shards.set_meta(
                 key, ObjectMeta(size=len(data), stripes=len(chunks)))
             self.report.puts += 1
@@ -324,18 +332,35 @@ class StoreCluster:
         Runs entirely in the control plane: by the time this returns,
         every counter the read will ever touch is counted and the bytes
         it will return are pinned -- ``ticket.data()`` merely awaits
-        and assembles them.
+        and assembles them.  After one yield, every stripe is planned
+        from the mirrors and each node gets one ``fetch_chunks`` call
+        for all the stripes that read it.
         """
+        if self._repairs_in_flight:
+            self.report.interfered_ops += 1
         async with self.shards.lock(key):
             meta = self.shards.meta(key)
-            if self._repairs_in_flight:
-                self.report.interfered_ops += 1
+            await asyncio.sleep(0)
             ticket = GetTicket(key=key, size=meta.size, degraded=False,
                                _codec=self.codec)
+            wanted: dict[int, list[int]] = {}
             for stripe_index in range(meta.stripes):
-                plan = await self._plan_stripe_read(key, stripe_index)
-                ticket._stripes.append(plan)
-                ticket.degraded = ticket.degraded or plan.degraded
+                plan = self._plan_stripe_read(key, stripe_index)
+                ticket._plans.append(plan)
+                for col in plan[1]:
+                    wanted.setdefault(col, []).append(stripe_index)
+            for col, stripes in wanted.items():
+                ticket._promises[col] = self.nodes[col].fetch_chunks(
+                    key, stripes)
+            chunk = self.codec.chunk_bytes
+            for degraded, captured in ticket._plans:
+                if degraded:
+                    ticket.degraded = True
+                    self.report.bytes_read_nodes_degraded += \
+                        chunk * len(captured)
+                else:
+                    self.report.bytes_read_nodes_healthy += \
+                        chunk * len(captured)
             self.report.gets += 1
             self.report.bytes_read_user += meta.size
             if ticket.degraded:
@@ -343,39 +368,25 @@ class StoreCluster:
                 self.report.bytes_read_user_degraded += meta.size
             return ticket
 
-    async def _plan_stripe_read(self, key: str,
-                                stripe_index: int) -> _StripeRead:
-        have = [node.has_chunk(key, stripe_index) for node in self.nodes]
-        if all(have[col] for col in self.codec.data_columns):
-            promises = await self._capture_columns(
-                key, stripe_index, self.codec.data_columns)
-            # A crash may land between the availability check and the
-            # capture; a torn fast path falls through to the degraded
-            # one.
-            if all(promises[col] is not None
-                   for col in self.codec.data_columns):
-                self.report.bytes_read_nodes_healthy += \
-                    self.codec.chunk_bytes * len(self.codec.data_columns)
-                return _StripeRead(degraded=False, promises={
-                    col: promises[col]
-                    for col in self.codec.data_columns})
-            have = [node.has_chunk(key, stripe_index)
-                    for node in self.nodes]
-        wanted = [j for j in range(self.code.n) if have[j]]
-        promises = await self._capture_columns(key, stripe_index, wanted)
-        captured = {j: promises[j] for j in wanted
-                    if promises[j] is not None}
-        self.report.bytes_read_nodes_degraded += \
-            self.codec.chunk_bytes * len(captured)
-        if not self._recoverable(captured):
+    def _plan_stripe_read(self, key: str, stripe_index: int
+                          ) -> tuple[bool, tuple[int, ...]]:
+        """``(degraded, columns to read)`` for one stripe, from the
+        mirrors: the data columns when they are all present, else every
+        survivor, if the code can recover from them."""
+        if all(self.nodes[col].has_chunk(key, stripe_index)
+               for col in self.codec.data_columns):
+            return False, self.codec.data_columns
+        have = tuple(j for j, node in enumerate(self.nodes)
+                     if node.has_chunk(key, stripe_index))
+        if not self._recoverable(have):
             self.report.failed_reads += 1
             raise ObjectLostError(
                 f"object {key!r} stripe {stripe_index} is not "
-                f"recoverable ({self.code.n - len(captured)} of "
+                f"recoverable ({self.code.n - len(have)} of "
                 f"{self.code.n} columns missing)")
-        return _StripeRead(degraded=True, promises=captured)
+        return True, have
 
-    def _recoverable(self, captured: dict[int, object]) -> bool:
+    def _recoverable(self, captured: Sequence[int]) -> bool:
         """The decision predicate of degraded reads and repair: the
         code's exact :meth:`~repro.codes.base.StripeCode.recoverable`
         over every symbol of the columns not ``captured``.  A decode
@@ -383,37 +394,6 @@ class StoreCluster:
         return self.code.recoverable([
             (i, j) for j in range(self.code.n) if j not in captured
             for i in range(self.code.r)])
-
-    async def _capture_columns(
-            self, key: str, stripe_index: int, wanted: Sequence[int]
-            ) -> list[Optional["asyncio.Future[bytes]"]]:
-        """Capture promises for ``wanted`` columns concurrently; races
-        with crashes resolve to ``None`` (treated as erasures)."""
-        promises: list[Optional[asyncio.Future]] = [None] * self.code.n
-        results = await asyncio.gather(*[
-            self._try_fetch_chunk(j, key, stripe_index) for j in wanted])
-        for j, promise in zip(wanted, results):
-            promises[j] = promise
-        return promises
-
-    async def _try_fetch_chunk(
-            self, j: int, key: str, stripe_index: int
-            ) -> Optional["asyncio.Future[bytes]"]:
-        try:
-            return await self.nodes[j].fetch_chunk(key, stripe_index)
-        except (NodeDownError, ChunkMissingError):
-            return None
-
-    async def _try_put_chunk(self, ticket: PutTicket | None, j: int,
-                             key: str, stripe_index: int,
-                             chunk: bytes) -> bool:
-        try:
-            ack = await self.nodes[j].put_chunk(key, stripe_index, chunk)
-        except NodeDownError:
-            return False
-        if ticket is not None:
-            ticket._acks.append(ack)
-        return True
 
     # ------------------------------------------------------------------ #
     # Redundancy accounting and repair
@@ -471,41 +451,52 @@ class StoreCluster:
                 self._suspect_nodes.clear()
             return 0
         self.report.repair_rounds += 1
-        semaphore = asyncio.Semaphore(self.repair_slots)
+        # ``repair_slots`` workers share one queue of stripes, so at most
+        # that many are in flight and a worker moves to its next stripe
+        # without waiting for a slot to be handed over.
+        queue = iter(damaged)
+
+        async def worker() -> int:
+            repaired = 0
+            for key, stripe_index, _ in queue:
+                repaired += await self._repair_stripe(key, stripe_index,
+                                                      on_stripe)
+            return repaired
+
         repaired = await asyncio.gather(*[
-            self._repair_stripe(semaphore, key, stripe_index, on_stripe)
-            for key, stripe_index, _ in damaged])
+            worker() for _ in range(min(self.repair_slots, len(damaged)))])
         if not self.damaged_stripes():
             self._suspect_stripes.clear()
             if all(node.up for node in self.nodes):
                 self._suspect_nodes.clear()
         return sum(repaired)
 
-    async def _repair_stripe(self, semaphore: asyncio.Semaphore, key: str,
-                             stripe_index: int,
+    async def _repair_stripe(self, key: str, stripe_index: int,
                              on_stripe: Callable[[str, int], None] | None
                              ) -> bool:
         # The key lock orders the repair against overwrites of the same
         # object: rebuilding from a half-overwritten stripe would
-        # "repair" a torn mix of old and new chunks.  Lock order is
-        # semaphore -> key lock; clients never hold the semaphore, so
-        # no cycle.
-        async with semaphore:
+        # "repair" a torn mix of old and new chunks.  Like a client
+        # operation, a stripe's repair yields once and then decides in
+        # one step.  It is in flight from the moment a worker takes it.
+        self._repairs_in_flight += 1
+        try:
             async with self.shards.lock(key):
-                self._repairs_in_flight += 1
-                try:
-                    return await self._repair_stripe_locked(
-                        key, stripe_index, on_stripe)
-                finally:
-                    self._repairs_in_flight -= 1
+                await asyncio.sleep(0)
+                return self._repair_stripe_locked(key, stripe_index,
+                                                  on_stripe)
+        finally:
+            self._repairs_in_flight -= 1
 
-    async def _repair_stripe_locked(
+    def _repair_stripe_locked(
             self, key: str, stripe_index: int,
             on_stripe: Callable[[str, int], None] | None) -> bool:
         # Re-derive damage at execution time: an earlier repair, a fresh
         # crash or an overwrite that shrank the object may have changed
-        # the picture.
-        if stripe_index >= self.shards.meta(key).stripes:
+        # the picture.  Captures and placements are decided in this one
+        # step, so no other operation sees half a repair.
+        meta = self.shards.meta(key)
+        if stripe_index >= meta.stripes:
             self._suspect_stripes.discard((key, stripe_index))
             return False
         missing = [j for j, node in enumerate(self.nodes)
@@ -515,51 +506,48 @@ class StoreCluster:
             if not missing:
                 self._suspect_stripes.discard((key, stripe_index))
             return False
-        wanted = [j for j in range(self.code.n) if j not in missing]
-        promises = await self._capture_columns(key, stripe_index, wanted)
-        captured = {j: promises[j] for j in wanted
-                    if promises[j] is not None}
-        if not self._recoverable(captured):
+        survivors = [j for j in range(self.code.n) if j not in missing]
+        if not self._recoverable(survivors):
             self.report.unrecoverable_stripes += 1
             return False
+        captured = {j: self.nodes[j].fetch_chunks(key, (stripe_index,))
+                    for j in survivors}
         # Placement is decided now; the rebuilt bytes arrive later.
         # Each target gets a deferred payload the decode task resolves;
         # the transports hold subsequent frames behind it, so ordering
         # survives the detour through the data plane.
         loop = asyncio.get_running_loop()
         payloads: dict[int, asyncio.Future] = {}
-        wrote = False
         for j in targets:
-            payload: asyncio.Future = loop.create_future()
-            try:
-                await self.nodes[j].put_chunk_deferred(
-                    key, stripe_index, payload, self.codec.chunk_bytes)
-            except NodeDownError:
-                continue
-            payloads[j] = payload
-            self.report.repaired_chunks += 1
-            self.report.repair_bytes += self.codec.chunk_bytes
-            wrote = True
-        if wrote:
-            self.report.repaired_stripes += 1
-            self.track(self._decode_rebuilt(key, stripe_index, captured,
-                                            payloads))
-        if not any(not node.has_chunk(key, stripe_index)
-                   for node in self.nodes):
+            payloads[j] = loop.create_future()
+            self.nodes[j].put_chunk_deferred(
+                key, stripe_index, payloads[j], self.codec.chunk_bytes)
+        self.report.repaired_chunks += len(targets)
+        self.report.repair_bytes += len(targets) * self.codec.chunk_bytes
+        self.report.repaired_stripes += 1
+        self.track(self._decode_rebuilt(key, stripe_index, meta, captured,
+                                        payloads))
+        if len(targets) == len(missing):
             self._suspect_stripes.discard((key, stripe_index))
         if on_stripe is not None:
             on_stripe(key, stripe_index)
-        return wrote
+        return True
 
     async def _decode_rebuilt(
-            self, key: str, stripe_index: int,
-            captured: dict[int, "asyncio.Future[bytes]"],
+            self, key: str, stripe_index: int, meta: ObjectMeta,
+            captured: dict[int, "asyncio.Future[list[bytes]]"],
             payloads: dict[int, "asyncio.Future[bytes]"]) -> None:
-        """Data-plane tail of a repair: decode survivors, fill payloads."""
+        """Data-plane tail of a repair: decode survivors, fill payloads.
+
+        A failed rebuild fails its payloads (the transports drop those
+        chunks) and, unless the object was overwritten meanwhile, takes
+        the targets back out of the mirrors and re-suspects the stripe,
+        so reads degrade around it and repair tries again.
+        """
         try:
             columns: list[Optional[bytes]] = [None] * self.code.n
             for j, promise in captured.items():
-                columns[j] = await promise
+                columns[j] = (await promise)[0]
             rebuilt = self.codec.rebuild_columns(columns,
                                                  list(payloads.keys()))
         except BaseException as exc:  # noqa: BLE001 - routed to payloads
@@ -569,6 +557,11 @@ class StoreCluster:
             for payload in payloads.values():
                 if not payload.done():
                     payload.set_exception(failure)
+            if self.shards.meta(key) is meta:
+                for j in payloads:
+                    self.nodes[j].drop_chunk(key, stripe_index)
+                self._suspect_stripes.add((key, stripe_index))
+                self._damage.set()
             raise failure from exc
         for j, payload in payloads.items():
             if not payload.done():

@@ -4,9 +4,9 @@ A :class:`StoreNode` is split in two:
 
 * the **mirror** (this class) is the control plane: which chunks the
   device holds (key, stripe -> size), whether it is up, and every
-  counter.  All of it updates synchronously at decision time, the only
-  awaits are bare ``asyncio.sleep(0)`` yields, and the code is
-  *byte-identical across backends* -- which is why the in-process and
+  counter.  All of it updates synchronously at decision time -- no
+  method of the mirror awaits anything -- and the code is
+  *byte-identical across backends*, which is why the in-process and
   subprocess backends produce bit-identical deterministic digests: the
   digest is a pure function of the mirror, and the mirror never waits
   on data;
@@ -18,32 +18,37 @@ A :class:`StoreNode` is split in two:
   warehouse applies is exactly the order the mirror decided -- the two
   can never disagree about which write a read observes.
 
-Reads are *snapshot* reads: ``fetch_chunk`` captures a promise for the
-bytes as of the decision instant; a later crash or overwrite does not
-retroactively change what an already-decided read returns (locally the
-captured entry keeps its bytes; remotely the GET frame is ordered
-before the CRASH/PUT frame).  A repair may mark a rebuilt chunk
-present before its bytes exist -- ``put_chunk_deferred`` enqueues the
-write with a payload future the decode task resolves later, and the
-transport holds subsequent frames behind it so ordering is preserved.
+A node operation acts on a *stripe list*: ``put_chunks`` writes every
+chunk of one object that this node stores and ``fetch_chunks`` reads
+them, as one decision, one transport call and (on the process backend)
+one RPC frame; ``put_chunk`` / ``fetch_chunk`` are the one-stripe
+forms.  Reads are *snapshot* reads: ``fetch_chunks`` captures a promise
+for the bytes as of the decision instant; a later crash or overwrite
+does not retroactively change what an already-decided read returns
+(locally the captured entries keep their bytes; remotely the GET frame
+is ordered before the CRASH/PUT frame).  A repair may mark a rebuilt
+chunk present before its bytes exist -- ``put_chunk_deferred``
+enqueues the write with a payload future the decode task resolves
+later, and the transport holds subsequent frames behind it so ordering
+is preserved.
 
 Everything besides moving bytes happens here, once for both
 transports: the node tracks every write and control acknowledgement in
 an :class:`InFlight` tracker (``drain()`` / ``dataplane_errors``), and
 a :class:`~repro.store.latency.NodeLatency` sampler, when attached,
-draws one delay per chunk operation at decision time and holds the
-transport's future back until that deadline (never a mirror
-decision), so p50/p99s track physical parameters while digests stay
-latency-independent.  Without a sampler the transport's future is
-returned untouched.
+draws one delay per node operation (however many stripes it lists) at
+decision time and holds the transport's future back until that
+deadline (never a mirror decision), so p50/p99s track physical
+parameters while digests stay latency-independent.  Without a sampler
+the transport's future is returned untouched.
 
 Usage::
 
     node = StoreNode(3)                       # in-process backend
     node = StoreNode(3, transport=await ProcessTransport.spawn())
-    await node.put_chunk("key", 0, b"...")
-    await (await node.fetch_chunk("key", 0))
-    node.drop_chunk("key", 0)  # an overwrite shrank the object
+    await node.put_chunks("key", [0, 1], [b"...", b"..."])
+    await node.fetch_chunks("key", [0, 1])    # [b"...", b"..."]
+    node.drop_chunk("key", 1)  # an overwrite shrank the object
     node.crash()          # chunks gone, node down
     node.restore()        # back up, empty (a replacement device)
 """
@@ -53,7 +58,7 @@ from __future__ import annotations
 import asyncio
 import sys
 from pathlib import Path
-from typing import Union
+from typing import Sequence, Union
 
 from repro.store.latency import NodeLatency
 from repro.store import rpc
@@ -141,38 +146,68 @@ class InFlight:
             await asyncio.gather(*pending, return_exceptions=True)
 
 
+def _gather(futures: Sequence["asyncio.Future"],
+            transform) -> "asyncio.Future":
+    """One future for several: resolves to ``transform`` of their
+    results in order, or fails as the first of them to fail."""
+    if len(futures) == 1:
+        return _chain(futures[0], lambda value: transform([value]))
+    return _chain(asyncio.gather(*futures), transform)
+
+
 class LocalTransport:
     """Chunk bytes in a dict inside this very event loop."""
 
     def __init__(self) -> None:
         self._entries: dict[tuple[str, int], Payload] = {}
 
-    def put(self, key: str, stripe: int,
-            payload: Payload) -> "asyncio.Future":
-        self._entries[(key, stripe)] = payload
-        if isinstance(payload, asyncio.Future):
-            return _chain(payload, lambda _: None)
+    def put(self, key: str, stripes: Sequence[int],
+            payloads: Sequence[Payload]) -> "asyncio.Future":
+        deferred = []
+        for stripe, payload in zip(stripes, payloads):
+            self._entries[(key, stripe)] = payload
+            if isinstance(payload, asyncio.Future):
+                deferred.append(payload)
+        if deferred:
+            return _gather(deferred, lambda _: None)
         ack = asyncio.get_running_loop().create_future()
         ack.set_result(None)
         return ack
 
-    def fetch(self, key: str, stripe: int) -> "asyncio.Future[bytes]":
-        # The mirror already decided the chunk is present; entries track
-        # the mirror synchronously, so a miss here is an integrity bug.
-        entry = self._entries.get((key, stripe))
-        if isinstance(entry, asyncio.Future):
-            return _chain(entry)
+    def fetch(self, key: str, stripes: Sequence[int],
+              sizes: Sequence[int]) -> "asyncio.Future[list[bytes]]":
+        # The mirror already decided the chunks are present; entries
+        # track the mirror synchronously, so a miss here is an integrity
+        # bug.  Deferred entries are captured now: a later overwrite
+        # cannot change what this read returns.
+        entries = [self._entries.get((key, stripe)) for stripe in stripes]
         out = asyncio.get_running_loop().create_future()
-        if entry is None:
+        if None in entries:
+            stripe = stripes[entries.index(None)]
             out.set_exception(ChunkIntegrityError(
                 f"local entry for {(key, stripe)} missing though the "
                 "mirror marked it present"))
-        else:
-            out.set_result(entry)
+            return out
+
+        def resolved(_=None) -> list[bytes]:
+            return [entry.result() if isinstance(entry, asyncio.Future)
+                    else entry for entry in entries]
+
+        # Entries settled earlier (perhaps under another event loop) are
+        # read at once; only pending ones are waited for.
+        pending = [entry for entry in entries
+                   if isinstance(entry, asyncio.Future) and not entry.done()]
+        if pending:
+            return _gather(pending, resolved)
+        try:
+            out.set_result(resolved())
+        except Exception as exc:  # noqa: BLE001 - a failed deferred write
+            out.set_exception(exc)
         return out
 
-    def drop(self, key: str, stripe: int) -> None:
-        self._entries.pop((key, stripe), None)
+    def drop(self, key: str, stripes: Sequence[int]) -> None:
+        for stripe in stripes:
+            self._entries.pop((key, stripe), None)
 
     def crash(self) -> None:
         self._entries.clear()
@@ -197,11 +232,14 @@ class LocalTransport:
 class ProcessTransport:
     """Chunk bytes in one node subprocess, reached over stream RPC.
 
-    Every mirror decision enqueues its frame synchronously through the
+    Every mirror decision enqueues its frames synchronously through the
     pipelined :class:`~repro.store.rpc.RpcClient`, whose write loop
     preserves call order (holding later frames behind a deferred
     payload), and the server applies frames strictly in order -- so
-    the warehouse replays the mirror's decision sequence exactly.
+    the warehouse replays the mirror's decision sequence exactly.  A
+    put or fetch of several stripes is one frame, split only where it
+    would pass the frame ceiling; a put's payloads are either all bytes
+    or one deferred chunk, which travels in a frame of its own.
     ``drop``, ``crash`` and ``restore`` return the server's ack, which
     the node tracks.
     """
@@ -242,18 +280,39 @@ class ProcessTransport:
         raise ChunkIntegrityError(
             f"node process answered status {status}: {payload[:128]!r}")
 
-    def _send(self, request: Request) -> "asyncio.Future[bytes]":
-        return _chain(self.client.call(request), self._answer)
+    def _send(self, request: Request, transform=None
+              ) -> "asyncio.Future[bytes]":
+        answer = self._answer if transform is None \
+            else lambda response: transform(self._answer(response))
+        return _chain(self.client.call(request), answer)
 
-    def put(self, key: str, stripe: int,
-            payload: Payload) -> "asyncio.Future":
-        return self._send(Request(rpc.OP_PUT, key, stripe, payload))
+    def put(self, key: str, stripes: Sequence[int],
+            payloads: Sequence[Payload]) -> "asyncio.Future":
+        if payloads and isinstance(payloads[0], asyncio.Future):
+            # A deferred payload is one chunk, in a frame of its own.
+            acks = [self._send(Request(
+                rpc.OP_PUT, key, stripes,
+                _chain(payloads[0], lambda chunk: rpc.pack_parts([chunk]))))]
+        else:
+            acks = [
+                self._send(Request(rpc.OP_PUT, key, stripes[run],
+                                   rpc.pack_parts(payloads[run])))
+                for run in rpc.batches(key, [len(p) for p in payloads],
+                                       self.client.max_frame)]
+        return _gather(acks, lambda _: None)
 
-    def fetch(self, key: str, stripe: int) -> "asyncio.Future[bytes]":
-        return self._send(Request(rpc.OP_GET, key, stripe))
+    def fetch(self, key: str, stripes: Sequence[int],
+              sizes: Sequence[int]) -> "asyncio.Future[list[bytes]]":
+        replies = [
+            self._send(Request(rpc.OP_GET, key, stripes[run]),
+                       lambda payload, count=len(stripes[run]):
+                       rpc.unpack_parts(payload, count))
+            for run in rpc.batches(key, sizes, self.client.max_frame)]
+        return _gather(replies, lambda runs: [
+            chunk for run in runs for chunk in run])
 
-    def drop(self, key: str, stripe: int) -> "asyncio.Future":
-        return self._send(Request(rpc.OP_DROP, key, stripe))
+    def drop(self, key: str, stripes: Sequence[int]) -> "asyncio.Future":
+        return self._send(Request(rpc.OP_DROP, key, stripes))
 
     def crash(self) -> "asyncio.Future":
         return self._send(Request(rpc.OP_CRASH))
@@ -341,58 +400,71 @@ class StoreNode:
         return out
 
     # ------------------------------------------------------------------ #
-    # Async chunk interface
+    # Chunk interface: synchronous decisions, data-plane futures
     # ------------------------------------------------------------------ #
-    def _write(self, key: str, stripe: int, payload: Payload,
-               size: int) -> "asyncio.Future[None]":
+    def _write(self, key: str, stripes: Sequence[int],
+               payloads: Sequence[Payload],
+               sizes: Sequence[int]) -> "asyncio.Future[None]":
         self._require_up()
-        self._present[(key, stripe)] = size
-        self.chunks_written += 1
-        self.bytes_written += size
+        for stripe, size in zip(stripes, sizes):
+            self._present[(key, stripe)] = size
+        self.chunks_written += len(sizes)
+        self.bytes_written += sum(sizes)
         return self._acks.track(
-            self._hold(self.transport.put(key, stripe, payload)))
+            self._hold(self.transport.put(key, stripes, payloads)))
 
-    async def put_chunk(self, key: str, stripe: int,
-                        data: bytes) -> "asyncio.Future[None]":
-        """Decide a write; returns the data-plane delivery ack.
+    def put_chunks(self, key: str, stripes: Sequence[int],
+                   chunks: Sequence[bytes]) -> "asyncio.Future[None]":
+        """Decide the writes of ``chunks`` (one per stripe); returns
+        the data-plane delivery ack.
 
-        The mirror is updated (and the write enqueued, in order) before
-        returning; the ack future resolves when the bytes physically
-        landed.  Callers may ignore it -- the node tracks every ack for
-        ``drain()``.
+        The mirror and the counters move now, per chunk, and the writes
+        are enqueued in order before returning; the one ack resolves
+        when every byte physically landed.  Callers may ignore it --
+        the node tracks every ack for ``drain()``.
         """
-        await asyncio.sleep(0)
-        return self._write(key, stripe, data, len(data))
+        return self._write(key, stripes, chunks,
+                           [len(chunk) for chunk in chunks])
 
-    async def put_chunk_deferred(self, key: str, stripe: int,
-                                 payload: "asyncio.Future[bytes]",
-                                 size: int) -> "asyncio.Future[None]":
+    def fetch_chunks(self, key: str, stripes: Sequence[int]
+                     ) -> "asyncio.Future[list[bytes]]":
+        """Decide the reads of ``stripes``; returns one promise for
+        their bytes, in order.
+
+        The decision (up? all present? counters) is the deterministic
+        part; the promise resolves with the chunks as of this instant,
+        regardless of later crashes or overwrites.
+        """
+        self._require_up()
+        try:
+            sizes = [self._present[(key, stripe)] for stripe in stripes]
+        except KeyError as missing:
+            raise ChunkMissingError(missing.args[0]) from None
+        self.chunks_read += len(sizes)
+        self.bytes_read += sum(sizes)
+        return self._hold(self.transport.fetch(key, stripes, sizes))
+
+    def put_chunk(self, key: str, stripe: int,
+                  data: bytes) -> "asyncio.Future[None]":
+        """:meth:`put_chunks` of one chunk."""
+        return self.put_chunks(key, (stripe,), (data,))
+
+    def put_chunk_deferred(self, key: str, stripe: int,
+                           payload: "asyncio.Future[bytes]",
+                           size: int) -> "asyncio.Future[None]":
         """Mark a chunk present whose bytes a decode will deliver later.
 
         The repair path decides placements before the rebuilt bytes
         exist; the transport enqueues the write immediately (keeping
-        per-node order) and blocks later frames until ``payload``
+        per-node order) and holds later frames until ``payload``
         resolves.
         """
-        await asyncio.sleep(0)
-        return self._write(key, stripe, payload, size)
+        return self._write(key, (stripe,), (payload,), (size,))
 
-    async def fetch_chunk(self, key: str,
-                          stripe: int) -> "asyncio.Future[bytes]":
-        """Decide a read and return a promise for the bytes.
-
-        The decision (up? present? counters) is the deterministic part;
-        the returned future is data-plane and resolves with the chunk
-        as of this instant, regardless of later crashes or overwrites.
-        """
-        await asyncio.sleep(0)
-        self._require_up()
-        size = self._present.get((key, stripe))
-        if size is None:
-            raise ChunkMissingError((key, stripe))
-        self.chunks_read += 1
-        self.bytes_read += size
-        return self._hold(self.transport.fetch(key, stripe))
+    def fetch_chunk(self, key: str, stripe: int) -> "asyncio.Future[bytes]":
+        """:meth:`fetch_chunks` of one chunk: a promise for its bytes."""
+        return _chain(self.fetch_chunks(key, (stripe,)),
+                      lambda chunks: chunks[0])
 
     # ------------------------------------------------------------------ #
     # Synchronous state inspection / failure injection
@@ -404,11 +476,18 @@ class StoreNode:
         if ack is not None:
             self._acks.track(ack)
 
+    def drop_chunks(self, key: str, stripes: Sequence[int]) -> None:
+        """Forget chunks their object no longer uses (an overwrite
+        shrank it, a rebuild failed); the transport drops the bytes in
+        decision order."""
+        held = [stripe for stripe in stripes
+                if self._present.pop((key, stripe), None) is not None]
+        if held:
+            self._track(self.transport.drop(key, held))
+
     def drop_chunk(self, key: str, stripe: int) -> None:
-        """Forget a chunk its object no longer uses (an overwrite shrank
-        the object); the transport drops the bytes in decision order."""
-        if self._present.pop((key, stripe), None) is not None:
-            self._track(self.transport.drop(key, stripe))
+        """:meth:`drop_chunks` of one chunk."""
+        self.drop_chunks(key, (stripe,))
 
     def crash(self) -> None:
         """Fail the device: all stored chunks are lost."""

@@ -15,8 +15,8 @@ A :class:`StoreReport` accumulates two kinds of telemetry:
 ``degraded_read_amplification`` is bytes fetched from nodes per user
 byte returned on degraded reads (a degraded read must pull surviving
 parity columns too, so it is strictly worse than the healthy ratio);
-``interfered_ops`` counts client operations that ran while at least one
-stripe repair was in flight (the repair-interference signal).
+``interfered_ops`` counts client operations that started while at least
+one stripe repair was in flight (the repair-interference signal).
 """
 
 from __future__ import annotations

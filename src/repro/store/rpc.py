@@ -5,10 +5,15 @@ This module is both halves of the store's out-of-process data plane:
 * the **wire protocol** -- every message is a 4-byte big-endian length
   prefix followed by exactly that many body bytes, so a reader either
   delivers a whole frame or raises :class:`RpcProtocolError`; torn
-  chunks are structurally impossible.  Requests are ``put_chunk`` /
-  ``get_chunk`` / ``crash`` / ``restore`` / ``stat`` / ``shutdown`` /
-  ``drop_chunk`` (opcode 3 is retired); responses are ``OK`` (with an
-  optional payload), ``MISSING`` or ``ERR``;
+  chunks are structurally impossible.  Requests are ``put_chunks`` /
+  ``get_chunks`` / ``crash`` / ``restore`` / ``stat`` / ``shutdown`` /
+  ``drop_chunks`` (opcode 3 is retired); responses are ``OK`` (with an
+  optional payload), ``MISSING`` or ``ERR``.  Chunk requests carry a
+  *stripe list*: one put frame holds every chunk of one object that
+  one node stores, and one get frame fetches them all (a single chunk
+  is a list of one).  Chunk bytes travel as length-prefixed *parts*;
+  a body whose parts or stripe list do not add up is rejected whole,
+  before any chunk is applied;
 * the **chunk server** -- the ``python -m repro.store.rpc`` entry point
   a :class:`~repro.store.node.ProcessTransport` spawns, one subprocess
   per store node.  The server is a deliberately dumb byte warehouse
@@ -28,8 +33,11 @@ subprocesses start in tens of milliseconds.
 Usage (client side)::
 
     client = RpcClient(reader, writer)
-    future = client.call(Request(OP_PUT, "k", 0, b"chunk"))
+    future = client.call(Request(OP_PUT, "k", (0, 1),
+                                 pack_parts([b"chunk0", b"chunk1"])))
     status, payload = await future
+    status, payload = await client.call(Request(OP_GET, "k", (0, 1)))
+    unpack_parts(payload, 2)        # [b"chunk0", b"chunk1"]
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from __future__ import annotations
 import asyncio
 import sys
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 #: Frame length prefix: 4 bytes, big-endian, body length only.
 LENGTH_BYTES = 4
@@ -117,33 +125,103 @@ async def read_frame(reader: asyncio.StreamReader,
             "body bytes)") from None
 
 
+#: Bytes of a request body before its stripe list: opcode, key length,
+#: stripe count (the key itself comes on top).
+_REQUEST_HEAD = 1 + 2 + 4
+#: Per-stripe bytes a put frame adds besides the chunk itself: the
+#: stripe number and the part's length prefix.
+_PART_OVERHEAD = 4 + 4
+
+
+def pack_parts(parts: Sequence[bytes]) -> bytes:
+    """Chunks back to back, each behind a 4-byte length: the payload of
+    a put request and of a get answer."""
+    return b"".join([piece for part in parts
+                     for piece in (len(part).to_bytes(4, "big"), part)])
+
+
+def unpack_parts(payload: bytes, count: int) -> list[bytes]:
+    """Invert :func:`pack_parts`; the payload must hold exactly
+    ``count`` parts, or :class:`RpcProtocolError` is raised and no part
+    is delivered."""
+    view = memoryview(payload)
+    parts, offset = [], 0
+    for _ in range(count):
+        if offset + 4 > len(view):
+            raise RpcProtocolError(
+                f"parts truncated: {len(parts)} of {count} present")
+        size = int.from_bytes(view[offset:offset + 4], "big")
+        offset += 4
+        if offset + size > len(view):
+            raise RpcProtocolError(
+                f"part {len(parts)} claims {size} bytes past the end of "
+                f"a {len(view)}-byte payload")
+        parts.append(bytes(view[offset:offset + size]))
+        offset += size
+    if offset != len(view):
+        raise RpcProtocolError(
+            f"{len(view) - offset} bytes trail the {count} parts")
+    return parts
+
+
+def batches(key: str, sizes: Sequence[int],
+            max_frame: int) -> list[slice]:
+    """Split a stripe list into runs whose frames fit ``max_frame``.
+
+    The bound counts a put frame (header, stripe list, length-prefixed
+    parts), which also bounds the get request and the get answer for
+    the same chunks.  A chunk too large for any frame goes alone, so
+    the server's ceiling check rejects it loudly.
+    """
+    head = _REQUEST_HEAD + len(key.encode("utf-8"))
+    runs, start, body = [], 0, head
+    for index, size in enumerate(sizes):
+        cost = _PART_OVERHEAD + size
+        if index > start and body + cost > max_frame:
+            runs.append(slice(start, index))
+            start, body = index, head
+        body += cost
+    runs.append(slice(start, len(sizes)))
+    return runs
+
+
 @dataclass
 class Request:
-    """One chunk request; ``payload`` may be a future for deferred data.
+    """One request; ``payload`` may be a future for deferred data.
 
-    A repair marks a rebuilt chunk present in the mirror *before* the
-    decode that produces its bytes has run; the transport enqueues the
-    request immediately (preserving per-node order) with a payload
-    future the decode task resolves later.
+    ``stripes`` lists the chunks a put, get or drop acts on (empty for
+    node-wide ops); a put's payload is :func:`pack_parts` of their
+    bytes, in stripe-list order.  A repair marks a rebuilt chunk
+    present in the mirror *before* the decode that produces its bytes
+    has run; the transport enqueues the request immediately (preserving
+    per-node order) with a payload future the decode task resolves
+    later.
     """
 
     op: int
     key: str = ""
-    stripe: int = 0
+    stripes: Sequence[int] = ()
     payload: Union[bytes, "asyncio.Future[bytes]"] = b""
 
     def encode(self, payload: bytes) -> bytes:
         key_bytes = self.key.encode("utf-8")
         if len(key_bytes) > 0xFFFF:
             raise RpcProtocolError("key longer than 65535 bytes")
-        return (bytes([self.op])
-                + len(key_bytes).to_bytes(2, "big") + key_bytes
-                + int(self.stripe).to_bytes(4, "big")
-                + payload)
+        return b"".join([
+            bytes([self.op]), len(key_bytes).to_bytes(2, "big"),
+            key_bytes, len(self.stripes).to_bytes(4, "big"),
+            *[int(stripe).to_bytes(4, "big") for stripe in self.stripes],
+            payload])
 
 
-def decode_request(body: bytes) -> tuple[int, str, int, bytes]:
-    """Parse a request body -> ``(op, key, stripe, payload)``."""
+def decode_request(body: bytes) -> tuple[int, str, tuple[int, ...],
+                                         list[bytes]]:
+    """Parse a request body -> ``(op, key, stripes, parts)``.
+
+    ``parts`` holds a put's chunks, one per stripe; every other op
+    carries no payload.  The whole body is checked before anything is
+    returned, so a corrupt batch is rejected whole, never half-applied.
+    """
     if len(body) < 1:
         raise RpcProtocolError("empty request body")
     op = body[0]
@@ -152,16 +230,30 @@ def decode_request(body: bytes) -> tuple[int, str, int, bytes]:
     if len(body) < 3:
         raise RpcProtocolError("request truncated before key length")
     key_len = int.from_bytes(body[1:3], "big")
-    if len(body) < 3 + key_len + 4:
+    offset = 3 + key_len
+    if len(body) < offset + 4:
         raise RpcProtocolError(
             f"request body of {len(body)} bytes too short for a "
             f"{key_len}-byte key")
     try:
-        key = body[3:3 + key_len].decode("utf-8")
+        key = body[3:offset].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise RpcProtocolError(f"undecodable key: {exc}") from None
-    stripe = int.from_bytes(body[3 + key_len:7 + key_len], "big")
-    return op, key, stripe, body[7 + key_len:]
+    count = int.from_bytes(body[offset:offset + 4], "big")
+    offset += 4
+    if len(body) < offset + 4 * count:
+        raise RpcProtocolError(
+            f"stripe list truncated: {count} stripes need "
+            f"{4 * count} bytes, {len(body) - offset} left")
+    stripes = tuple(int.from_bytes(body[at:at + 4], "big")
+                    for at in range(offset, offset + 4 * count, 4))
+    payload = body[offset + 4 * count:]
+    if op == OP_PUT:
+        return op, key, stripes, unpack_parts(payload, count)
+    if payload:
+        raise RpcProtocolError(
+            f"opcode {op} carries no payload, got {len(payload)} bytes")
+    return op, key, stripes, []
 
 
 def encode_response(status: int, payload: bytes = b"") -> bytes:
@@ -213,7 +305,9 @@ class RpcClient:
                  max_frame: int = MAX_FRAME_BYTES) -> None:
         self._reader = reader
         self._writer = writer
-        self._max_frame = max_frame
+        #: Ceiling on one frame body, both ways; callers split batches
+        #: to fit it (:func:`batches`).
+        self.max_frame = max_frame
         self._outbox: asyncio.Queue[
             tuple[Request, asyncio.Future] | None] = asyncio.Queue()
         self._pending: list[asyncio.Future[tuple[int, bytes]]] = []
@@ -250,7 +344,7 @@ class RpcClient:
                         if not future.done():
                             future.set_exception(exc)
                         request = Request(OP_DROP, request.key,
-                                          request.stripe)
+                                          request.stripes)
                         payload = b""
                 self._writer.write(
                     encode_frame(request.encode(payload)))
@@ -263,7 +357,7 @@ class RpcClient:
     async def _read_loop(self) -> None:
         try:
             while True:
-                body = await read_frame(self._reader, self._max_frame)
+                body = await read_frame(self._reader, self.max_frame)
                 if body is None:
                     if self._pending:
                         self._fail(NodeProcessError(
@@ -321,28 +415,30 @@ class ChunkServer:
         self.chunks: dict[tuple[str, int], bytes] = {}
         self.up = True
 
-    def handle(self, op: int, key: str, stripe: int,
-               payload: bytes) -> tuple[bytes, bool]:
-        """Apply one request; returns ``(response_body, keep_serving)``."""
+    def handle(self, op: int, key: str, stripes: Sequence[int],
+               parts: Sequence[bytes]) -> tuple[bytes, bool]:
+        """Apply one request; returns ``(response_body, keep_serving)``.
+
+        A get answers ``MISSING`` if any listed chunk is absent: the
+        mirror only asks for chunks it marked present.
+        """
+        if op in (OP_PUT, OP_GET, OP_DROP) and not self.up:
+            verb = {OP_PUT: "put", OP_GET: "get", OP_DROP: "drop"}[op]
+            return encode_response(
+                STATUS_ERR,
+                f"{verb} while down (mirror desync)".encode()), True
         if op == OP_PUT:
-            if not self.up:
-                return encode_response(
-                    STATUS_ERR, b"put while down (mirror desync)"), True
-            self.chunks[(key, stripe)] = payload
+            for stripe, part in zip(stripes, parts):
+                self.chunks[(key, stripe)] = part
             return encode_response(STATUS_OK), True
         if op == OP_GET:
-            if not self.up:
-                return encode_response(
-                    STATUS_ERR, b"get while down (mirror desync)"), True
-            data = self.chunks.get((key, stripe))
-            if data is None:
+            found = [self.chunks.get((key, stripe)) for stripe in stripes]
+            if None in found:
                 return encode_response(STATUS_MISSING), True
-            return encode_response(STATUS_OK, data), True
+            return encode_response(STATUS_OK, pack_parts(found)), True
         if op == OP_DROP:
-            if not self.up:
-                return encode_response(
-                    STATUS_ERR, b"drop while down (mirror desync)"), True
-            self.chunks.pop((key, stripe), None)
+            for stripe in stripes:
+                self.chunks.pop((key, stripe), None)
             return encode_response(STATUS_OK), True
         if op == OP_CRASH:
             self.chunks.clear()

@@ -38,12 +38,12 @@ def test_mirror_decides_at_once_and_futures_wait_for_the_deadline():
         loop = asyncio.get_running_loop()
         node = StoreNode(0, latency=_Fixed())
         start = loop.time()
-        ack = await node.put_chunk("k", 0, b"x" * 8)
+        ack = node.put_chunk("k", 0, b"x" * 8)
         # The mirror and its counters moved at decision time.
         assert node.has_chunk("k", 0)
         assert node.mirror_stat() == (1, 8)
         assert (node.chunks_written, node.bytes_written) == (1, 8)
-        fetched = await node.fetch_chunk("k", 0)
+        fetched = node.fetch_chunk("k", 0)
         assert (node.chunks_read, node.bytes_read) == (1, 8)
         assert not ack.done() and not fetched.done()
         await asyncio.sleep(DELAY_S / 2)
@@ -60,8 +60,8 @@ def test_answer_after_the_deadline_is_released_at_once():
         loop = asyncio.get_running_loop()
         node = StoreNode(0, transport=LocalTransport(), latency=_Fixed())
         payload = loop.create_future()
-        ack = await node.put_chunk_deferred("k", 0, payload, 4)
-        fetched = await node.fetch_chunk("k", 0)
+        ack = node.put_chunk_deferred("k", 0, payload, 4)
+        fetched = node.fetch_chunk("k", 0)
         assert node.mirror_stat() == (1, 4)
         # Both deadlines pass while the bytes do not exist yet.
         await asyncio.sleep(2 * DELAY_S)
@@ -79,10 +79,53 @@ def test_answer_after_the_deadline_is_released_at_once():
 def test_zero_latency_node_returns_the_transports_future():
     async def flow():
         node = StoreNode(0)
-        ack = await node.put_chunk("k", 0, b"abc")
+        ack = node.put_chunk("k", 0, b"abc")
         assert ack.done()
-        fetched = await node.fetch_chunk("k", 0)
+        fetched = node.fetch_chunk("k", 0)
         assert fetched.done() and fetched.result() == b"abc"
+
+    run(flow())
+
+
+def test_one_latency_draw_per_batch_and_counters_per_chunk():
+    """A node operation over several stripes is one decision: one
+    sampled delay and one ack, while the counters still count chunks."""
+    class Counting(_Fixed):
+        draws = 0
+
+        def sample_s(self) -> float:
+            Counting.draws += 1
+            return 0.0
+
+    async def flow():
+        node = StoreNode(0, latency=Counting())
+        ack = node.put_chunks("k", [0, 1, 2], [b"a" * 4, b"b" * 4, b"c"])
+        assert Counting.draws == 1
+        assert (node.chunks_written, node.bytes_written) == (3, 9)
+        fetched = node.fetch_chunks("k", [2, 0])
+        assert Counting.draws == 2
+        assert (node.chunks_read, node.bytes_read) == (2, 5)
+        assert await fetched == [b"c", b"a" * 4]
+        await ack
+
+    run(flow())
+
+
+def test_local_batch_read_is_a_snapshot_of_deferred_entries():
+    """A batch read that captured a deferred entry returns the bytes
+    that entry resolves to, though an overwrite landed in between."""
+    async def flow():
+        loop = asyncio.get_running_loop()
+        node = StoreNode(0, transport=LocalTransport())
+        node.put_chunk("k", 0, b"old0")
+        payload = loop.create_future()
+        node.put_chunk_deferred("k", 1, payload, 4)
+        fetched = node.fetch_chunks("k", [0, 1])
+        node.put_chunks("k", [0, 1], [b"new0", b"new1"])
+        assert not fetched.done()
+        payload.set_result(b"old1")
+        assert await fetched == [b"old0", b"old1"]
+        assert await node.fetch_chunks("k", [0, 1]) == [b"new0", b"new1"]
 
     run(flow())
 

@@ -23,12 +23,15 @@ from repro.store.rpc import (
     RpcProtocolError,
     decode_request,
     decode_response,
+    batches,
     decode_stat,
     encode_frame,
     encode_response,
     encode_stat,
+    pack_parts,
     read_frame,
     serve,
+    unpack_parts,
 )
 
 #: Every test below must finish well inside this; a hang is a failure.
@@ -127,42 +130,107 @@ def test_oversized_body_is_refused_at_encode_time(monkeypatch):
 # --------------------------------------------------------------------------- #
 # Request / response codec properties (seeded fuzz)
 # --------------------------------------------------------------------------- #
+ALL_OPS = (rpc.OP_PUT, rpc.OP_GET, rpc.OP_CRASH, rpc.OP_RESTORE,
+           rpc.OP_STAT, rpc.OP_SHUTDOWN, rpc.OP_DROP)
+
+
 def test_request_encode_decode_round_trips_fuzzed():
+    """Batch bodies: a put carries one part per listed stripe (a
+    single chunk is a list of one), every other op a bare list."""
     rng = np.random.default_rng(2024)
-    ops = (rpc.OP_PUT, rpc.OP_GET, rpc.OP_CRASH,
-           rpc.OP_RESTORE, rpc.OP_STAT, rpc.OP_SHUTDOWN, rpc.OP_DROP)
     for _ in range(200):
-        op = ops[rng.integers(len(ops))]
+        op = ALL_OPS[rng.integers(len(ALL_OPS))]
         key = "".join(chr(c) for c in
                       rng.integers(32, 0x2FFF, size=rng.integers(0, 40)))
-        stripe = int(rng.integers(0, 2 ** 32))
-        payload = rng.bytes(int(rng.integers(0, 512)))
-        body = Request(op, key, stripe, payload).encode(payload)
-        assert decode_request(body) == (op, key, stripe, payload)
+        stripes = tuple(int(s) for s in rng.integers(
+            0, 2 ** 32, size=rng.integers(0, 6)))
+        parts = ([rng.bytes(int(rng.integers(0, 512))) for _ in stripes]
+                 if op == rpc.OP_PUT else [])
+        payload = pack_parts(parts) if op == rpc.OP_PUT else b""
+        body = Request(op, key, stripes, payload).encode(payload)
+        assert decode_request(body) == (op, key, stripes, parts)
 
 
 def test_corrupted_request_bodies_error_cleanly_fuzzed():
-    """Random single-byte mutations and truncations of valid request
-    bodies either decode to *some* request or raise RpcProtocolError --
-    no other exception type, and (checked by decode being pure) no torn
-    half-parse."""
+    """Random single-byte mutations and truncations of valid batch put
+    bodies either decode to *some* whole request or raise
+    RpcProtocolError -- no other exception type, and never a torn
+    half-parse: a decoded put has exactly one part per stripe."""
     rng = np.random.default_rng(7)
     for _ in range(300):
-        payload = rng.bytes(int(rng.integers(0, 64)))
-        body = bytearray(Request(rpc.OP_PUT, "key-αβ", 3,
-                                 payload).encode(payload))
+        parts = [rng.bytes(int(rng.integers(0, 64)))
+                 for _ in range(int(rng.integers(1, 4)))]
+        body = bytearray(Request(rpc.OP_PUT, "key-αβ",
+                                 tuple(range(3, 3 + len(parts))),
+                                 b"").encode(pack_parts(parts)))
         if rng.random() < 0.5 and len(body) > 1:
             body = body[:rng.integers(1, len(body))]  # truncate
         else:
             body[rng.integers(len(body))] = rng.integers(256)  # mutate
         try:
-            op, key, stripe, decoded = decode_request(bytes(body))
+            op, key, stripes, decoded = decode_request(bytes(body))
         except RpcProtocolError:
             continue
-        assert op in (rpc.OP_PUT, rpc.OP_GET, rpc.OP_CRASH,
-                      rpc.OP_RESTORE, rpc.OP_STAT, rpc.OP_SHUTDOWN,
-                      rpc.OP_DROP)
-        assert isinstance(key, str) and isinstance(decoded, bytes)
+        assert op in ALL_OPS
+        assert isinstance(key, str)
+        assert all(isinstance(part, bytes) for part in decoded)
+        assert len(decoded) == (len(stripes) if op == rpc.OP_PUT else 0)
+
+
+def test_corrupted_batch_bodies_are_answered_err():
+    """A part length running past the end, a truncated stripe list or
+    a missing part is rejected whole: the server answers ERR and stops,
+    and applied none of the batch."""
+    good = Request(rpc.OP_PUT, "k", (0, 1), b"").encode(
+        pack_parts([b"alpha", b"beta"]))
+    head = 1 + 2 + 1 + 4            # op, key length, "k", stripe count
+    past_end = bytearray(good)
+    past_end[head + 8:head + 12] = (1000).to_bytes(4, "big")
+    truncated_list = good[:head + 6]
+    one_part_short = Request(rpc.OP_PUT, "k", (0, 1), b"").encode(
+        pack_parts([b"alpha"]))
+    cases = [(bytes(past_end), "past the end"),
+             (truncated_list, "stripe list truncated"),
+             (one_part_short, "parts truncated")]
+    for body, message in cases:
+        with pytest.raises(RpcProtocolError, match=message):
+            decode_request(body)
+
+    async def flow(body):
+        (client_r, client_w), (server_r, server_w) = await stream_pair()
+        task = asyncio.create_task(serve(server_r, server_w))
+        client_w.write(encode_frame(body))
+        client_w.write(encode_frame(
+            Request(rpc.OP_GET, "k", (0,)).encode(b"")))
+        await task             # the corrupt frame stops the server
+        server_w.write_eof()
+        status, _ = decode_response(await read_frame(client_r))
+        assert status == rpc.STATUS_ERR
+        assert await read_frame(client_r) is None  # nothing after it
+        client_w.close()
+        server_w.close()
+
+    for body, _ in cases:
+        run(flow(body))
+    with pytest.raises(RpcProtocolError, match="carries no payload"):
+        decode_request(Request(rpc.OP_GET, "k", (0,)).encode(b"junk"))
+
+
+def test_parts_codec_and_frame_batches():
+    parts = [b"", b"a", b"bc" * 100]
+    assert unpack_parts(pack_parts(parts), 3) == parts
+    with pytest.raises(RpcProtocolError, match="trail"):
+        unpack_parts(pack_parts(parts) + b"x", 3)
+    # Each chunk costs 8 bytes of stripe number and part length; the
+    # header is 7 bytes plus the key.
+    assert batches("k", [10] * 6, 8 + 3 * 18) == [
+        slice(0, 3), slice(3, 6)]
+    assert batches("k", [10] * 6, 7 + 3 * 18) == [
+        slice(0, 2), slice(2, 4), slice(4, 6)]
+    # A chunk no frame can hold still goes out alone, to be refused.
+    assert batches("k", [5, 100, 5], 40) == [
+        slice(0, 1), slice(1, 2), slice(2, 3)]
+    assert batches("k", [], 40) == [slice(0, 0)]
 
 
 def test_unknown_opcode_and_undecodable_key_are_rejected():
@@ -190,7 +258,7 @@ def test_response_and_stat_codecs():
 
 
 def test_oversized_key_is_refused():
-    request = Request(rpc.OP_PUT, "k" * 70_000, 0, b"")
+    request = Request(rpc.OP_PUT, "k" * 70_000, (0,), b"")
     with pytest.raises(RpcProtocolError, match="65535"):
         request.encode(b"")
 
@@ -235,8 +303,8 @@ def test_server_stops_after_a_framing_error_with_an_err_reply():
         (client_r, client_w), (server_r, server_w) = await stream_pair()
         task = asyncio.create_task(serve(server_r, server_w))
         # A valid put, then a frame that dies mid-body.
-        put = Request(rpc.OP_PUT, "k", 0, b"data")
-        client_w.write(encode_frame(put.encode(b"data")))
+        put = Request(rpc.OP_PUT, "k", (0,), pack_parts([b"data"]))
+        client_w.write(encode_frame(put.encode(put.payload)))
         client_w.write(encode_frame(b"x" * 50)[:20])
         client_w.write_eof()
         await task             # framing error stops the server
@@ -259,39 +327,46 @@ def test_server_stops_after_a_framing_error_with_an_err_reply():
 def test_chunk_server_put_get_delete_crash_restore():
     server = ChunkServer()
 
-    def call(op, key="", stripe=0, payload=b""):
-        body, keep = server.handle(op, key, stripe, payload)
+    def call(op, key="", stripes=(), parts=()):
+        body, keep = server.handle(op, key, stripes, parts)
         return decode_response(body), keep
 
-    assert call(rpc.OP_PUT, "k", 0, b"alpha")[0] == (rpc.STATUS_OK, b"")
-    assert call(rpc.OP_GET, "k", 0)[0] == (rpc.STATUS_OK, b"alpha")
-    assert call(rpc.OP_GET, "k", 1)[0] == (rpc.STATUS_MISSING, b"")
+    ok = (rpc.STATUS_OK, b"")
+    assert call(rpc.OP_PUT, "k", (0,), (b"alpha",))[0] == ok
+    assert call(rpc.OP_GET, "k", (0,))[0] \
+        == (rpc.STATUS_OK, pack_parts([b"alpha"]))
+    assert call(rpc.OP_GET, "k", (1,))[0] == (rpc.STATUS_MISSING, b"")
     assert call(rpc.OP_STAT)[0] == (rpc.STATUS_OK, encode_stat(1, 5))
 
     # Crash loses all bytes and marks the slot down ...
-    assert call(rpc.OP_CRASH)[0] == (rpc.STATUS_OK, b"")
-    status, message = call(rpc.OP_PUT, "k", 0, b"beta")[0]
+    assert call(rpc.OP_CRASH)[0] == ok
+    status, message = call(rpc.OP_PUT, "k", (0,), (b"beta",))[0]
     assert status == rpc.STATUS_ERR and b"mirror desync" in message
-    status, message = call(rpc.OP_GET, "k", 0)[0]
+    status, message = call(rpc.OP_GET, "k", (0,))[0]
     assert status == rpc.STATUS_ERR
-    status, message = call(rpc.OP_DROP, "k", 0)[0]
+    status, message = call(rpc.OP_DROP, "k", (0,))[0]
     assert status == rpc.STATUS_ERR and b"mirror desync" in message
 
     # ... and restore brings an *empty* replacement back up.
-    assert call(rpc.OP_RESTORE)[0] == (rpc.STATUS_OK, b"")
-    assert call(rpc.OP_GET, "k", 0)[0] == (rpc.STATUS_MISSING, b"")
+    assert call(rpc.OP_RESTORE)[0] == ok
+    assert call(rpc.OP_GET, "k", (0,))[0] == (rpc.STATUS_MISSING, b"")
 
-    assert call(rpc.OP_PUT, "k", 0, b"beta")[0] == (rpc.STATUS_OK, b"")
-    assert call(rpc.OP_PUT, "k", 1, b"gamma")[0] == (rpc.STATUS_OK, b"")
+    # One batch writes several stripes; one get reads them in order,
+    # and is MISSING as a whole if any listed chunk is absent.
+    assert call(rpc.OP_PUT, "k", (0, 1, 2),
+                (b"beta", b"gamma", b"delta"))[0] == ok
+    assert call(rpc.OP_GET, "k", (2, 0))[0] \
+        == (rpc.STATUS_OK, pack_parts([b"delta", b"beta"]))
+    assert call(rpc.OP_GET, "k", (0, 7))[0] == (rpc.STATUS_MISSING, b"")
 
-    # Drop forgets one chunk; dropping an absent chunk is a no-op.
-    assert call(rpc.OP_DROP, "k", 1)[0] == (rpc.STATUS_OK, b"")
-    assert call(rpc.OP_GET, "k", 1)[0] == (rpc.STATUS_MISSING, b"")
-    assert call(rpc.OP_DROP, "k", 1)[0] == (rpc.STATUS_OK, b"")
+    # Drop forgets chunks; dropping an absent chunk is a no-op.
+    assert call(rpc.OP_DROP, "k", (1, 2))[0] == ok
+    assert call(rpc.OP_GET, "k", (1,))[0] == (rpc.STATUS_MISSING, b"")
+    assert call(rpc.OP_DROP, "k", (1,))[0] == ok
     assert call(rpc.OP_STAT)[0] == (rpc.STATUS_OK, encode_stat(1, 4))
 
     response, keep = call(rpc.OP_SHUTDOWN)
-    assert response == (rpc.STATUS_OK, b"") and keep is False
+    assert response == ok and keep is False
 
 
 # --------------------------------------------------------------------------- #
@@ -302,15 +377,16 @@ def test_client_pipelines_and_matches_responses_fifo():
         (client_r, client_w), (server_r, server_w) = await stream_pair()
         task = asyncio.create_task(serve(server_r, server_w))
         client = RpcClient(client_r, client_w)
-        puts = [client.call(Request(rpc.OP_PUT, f"k{i}", i,
-                                    bytes([i]) * 8))
+        puts = [client.call(Request(rpc.OP_PUT, f"k{i}", (i,),
+                                    pack_parts([bytes([i]) * 8])))
                 for i in range(32)]
-        gets = [client.call(Request(rpc.OP_GET, f"k{i}", i))
+        gets = [client.call(Request(rpc.OP_GET, f"k{i}", (i,)))
                 for i in range(32)]
         for put in puts:
             assert await put == (rpc.STATUS_OK, b"")
         for i, get in enumerate(gets):
-            assert await get == (rpc.STATUS_OK, bytes([i]) * 8)
+            assert await get == (rpc.STATUS_OK,
+                                 pack_parts([bytes([i]) * 8]))
         await client.aclose()
         server_w.close()
         await task
@@ -326,12 +402,12 @@ def test_deferred_payload_future_preserves_frame_order():
         task = asyncio.create_task(serve(server_r, server_w))
         client = RpcClient(client_r, client_w)
         pending = asyncio.get_running_loop().create_future()
-        put = client.call(Request(rpc.OP_PUT, "late", 0, pending))
-        get = client.call(Request(rpc.OP_GET, "late", 0))
+        put = client.call(Request(rpc.OP_PUT, "late", (0,), pending))
+        get = client.call(Request(rpc.OP_GET, "late", (0,)))
         await asyncio.sleep(0.01)  # let the write loop block on it
-        pending.set_result(b"finally")
+        pending.set_result(pack_parts([b"finally"]))
         assert await put == (rpc.STATUS_OK, b"")
-        assert await get == (rpc.STATUS_OK, b"finally")
+        assert await get == (rpc.STATUS_OK, pack_parts([b"finally"]))
         await client.aclose()
         server_w.close()
         await task
@@ -347,20 +423,22 @@ def test_failed_deferred_payload_fails_only_its_call():
         (client_r, client_w), (server_r, server_w) = await stream_pair()
         task = asyncio.create_task(serve(server_r, server_w))
         client = RpcClient(client_r, client_w)
-        assert await client.call(Request(rpc.OP_PUT, "k", 0, b"stale")) \
+        assert await client.call(Request(
+            rpc.OP_PUT, "k", (0,), pack_parts([b"stale"]))) \
             == (rpc.STATUS_OK, b"")
         pending = asyncio.get_running_loop().create_future()
-        put = client.call(Request(rpc.OP_PUT, "k", 0, pending))
-        get = client.call(Request(rpc.OP_GET, "k", 0))
-        other = client.call(Request(rpc.OP_PUT, "x", 1, b"fresh"))
+        put = client.call(Request(rpc.OP_PUT, "k", (0,), pending))
+        get = client.call(Request(rpc.OP_GET, "k", (0,)))
+        other = client.call(Request(rpc.OP_PUT, "x", (1,),
+                                    pack_parts([b"fresh"])))
         await asyncio.sleep(0.01)  # let the write loop block on it
         pending.set_exception(RuntimeError("rebuild exploded"))
         with pytest.raises(RuntimeError, match="rebuild exploded"):
             await put
         assert await get == (rpc.STATUS_MISSING, b"")
         assert await other == (rpc.STATUS_OK, b"")
-        assert await client.call(Request(rpc.OP_GET, "x", 1)) \
-            == (rpc.STATUS_OK, b"fresh")
+        assert await client.call(Request(rpc.OP_GET, "x", (1,))) \
+            == (rpc.STATUS_OK, pack_parts([b"fresh"]))
         await client.aclose()
         server_w.close()
         await task
@@ -372,7 +450,7 @@ def test_peer_death_fails_every_outstanding_call():
     async def flow():
         (client_r, client_w), (server_r, server_w) = await stream_pair()
         client = RpcClient(client_r, client_w)
-        first = client.call(Request(rpc.OP_GET, "k", 0))
+        first = client.call(Request(rpc.OP_GET, "k", (0,)))
         # Read the request but die mid-response-frame.
         await read_frame(server_r)
         server_w.write(encode_frame(encode_response(rpc.STATUS_OK))[:3])
@@ -381,7 +459,7 @@ def test_peer_death_fails_every_outstanding_call():
             await first
         # Once dead, later calls fail immediately instead of queueing.
         with pytest.raises(NodeProcessError):
-            await client.call(Request(rpc.OP_GET, "k", 0))
+            await client.call(Request(rpc.OP_GET, "k", (0,)))
         await client.aclose()
         client_w.close()
 
@@ -397,7 +475,7 @@ def test_unsolicited_response_is_a_protocol_error():
         await asyncio.sleep(0.05)
         # The client marked itself dead; new calls fail fast.
         with pytest.raises(NodeProcessError):
-            await client.call(Request(rpc.OP_GET, "k", 0))
+            await client.call(Request(rpc.OP_GET, "k", (0,)))
         await client.aclose()
         server_w.close()
         client_w.close()
@@ -412,12 +490,12 @@ def test_real_subprocess_round_trip_and_kill_mid_flight():
     async def flow():
         transport = await ProcessTransport.spawn()
         try:
-            await transport.put("k", 0, b"x" * 64)
-            assert await transport.fetch("k", 0) == b"x" * 64
+            await transport.put("k", (0,), (b"x" * 64,))
+            assert await transport.fetch("k", (0,), (64,)) == [b"x" * 64]
             assert await transport.stat() == (1, 64)
             # Kill the subprocess with a request in flight: the call
             # errors cleanly instead of hanging.
-            pending = transport.fetch("k", 0)
+            pending = transport.fetch("k", (0,), (64,))
             transport.process.kill()
             with pytest.raises((NodeProcessError, ChunkError)):
                 await pending
@@ -438,8 +516,75 @@ def test_real_subprocess_rejects_oversized_frames():
             # answers ERR; the client surfaces that as a clean integrity
             # failure, never a hang or a torn write.
             with pytest.raises(ChunkIntegrityError, match="ceiling"):
-                await transport.put("k", 0, b"z" * 2048)
+                await transport.put("k", (0,), (b"z" * 2048,))
         finally:
             await transport.aclose()
+
+    run(flow())
+
+
+def _count_frames(transport: ProcessTransport) -> list:
+    """Record every request ``transport`` sends, in order."""
+    sent = []
+    call = transport.client.call
+
+    def counting(request):
+        sent.append(request)
+        return call(request)
+
+    transport.client.call = counting
+    return sent
+
+
+def test_real_subprocess_splits_an_over_ceiling_batch():
+    """Six 300-byte chunks cannot share one 1 KiB frame: the put and
+    the get each split into frames that fit, and the get still returns
+    every chunk in stripe order."""
+    async def flow():
+        transport = await ProcessTransport.spawn(max_frame=1024)
+        sent = _count_frames(transport)
+        chunks = [bytes([i]) * 300 for i in range(6)]
+        try:
+            await transport.put("k", range(6), chunks)
+            puts = [request.stripes for request in sent]
+            assert [list(stripes) for stripes in puts] == [
+                [0, 1, 2], [3, 4, 5]]
+            assert await transport.fetch("k", range(6), [300] * 6) \
+                == chunks
+            assert len(sent) == 4
+            assert await transport.stat() == (6, 1800)
+        finally:
+            await transport.aclose()
+
+    run(flow())
+
+
+def test_process_cluster_sends_one_frame_per_node_per_object():
+    """A 3-stripe put is ``n`` frames and a healthy get of it is one
+    frame per data column, not one per chunk."""
+    from repro.codes.registry import parse_code_spec
+    from repro.store.cluster import StoreCluster
+    from repro.store.node import StoreNode
+
+    code = parse_code_spec("rs(n=6,r=4,m=2)")
+
+    async def flow():
+        transports = [await ProcessTransport.spawn()
+                      for _ in range(code.n)]
+        sent = [_count_frames(transport) for transport in transports]
+        nodes = [StoreNode(j, transport=transports[j])
+                 for j in range(code.n)]
+        async with StoreCluster(code, symbol_bytes=16,
+                                nodes=nodes) as cluster:
+            data = bytes(range(256)) * 2 + bytes(200)
+            assert cluster.codec.num_stripes(len(data)) == 3
+            await cluster.put("k", data)
+            assert sum(map(len, sent)) == code.n
+            for frames in sent:
+                frames.clear()
+            assert await cluster.get("k") == data
+            assert sum(map(len, sent)) == len(cluster.codec.data_columns)
+            assert all(list(request.stripes) == [0, 1, 2]
+                       for frames in sent for request in frames)
 
     run(flow())
