@@ -235,8 +235,8 @@ class StoreSection:
     hours_per_op: float = 0.0
     #: Where node chunk bytes live: ``"inprocess"`` (a dict in the
     #: cluster's event loop) or ``"process"`` (one ``python -m
-    #: repro.store.rpc`` subprocess per node, chunk RPC over asyncio
-    #: streams).  Both produce bit-identical deterministic digests.
+    #: repro.store.rpc`` subprocess per node, chunk RPC over its stdin
+    #: and stdout pipes).  Both produce bit-identical deterministic digests.
     backend: str = "inprocess"
     #: Metadata / per-key-lock shard count of the cluster's key space.
     meta_shards: int = 16

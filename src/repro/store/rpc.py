@@ -1,4 +1,4 @@
-"""Length-prefixed chunk RPC over asyncio streams.
+"""Length-prefixed chunk RPC: a pipelined asyncio client, a blocking server.
 
 This module is both halves of the store's out-of-process data plane:
 
@@ -18,10 +18,12 @@ This module is both halves of the store's out-of-process data plane:
   a :class:`~repro.store.node.ProcessTransport` spawns, one subprocess
   per store node.  The server is a deliberately dumb byte warehouse
   (dict of ``(key, stripe) -> bytes`` plus an up/down flag): every
-  placement *decision* lives client-side in the deterministic mirror,
-  and because each connection's frames are handled strictly in arrival
-  order, the server's byte state replays the mirror's decision order
-  exactly;
+  placement *decision* lives client-side in the deterministic mirror.
+  It is one blocking loop over stdin and stdout -- read a frame, apply
+  it, write and flush the answer -- with no event loop: the server's
+  cost is CPU per frame, not bytes moved.  Frames are handled strictly
+  in arrival order, so the server's byte state replays the mirror's
+  decision order exactly;
 * the **pipelined client** -- :class:`RpcClient` writes frames in call
   order and matches responses FIFO (the server replies in order), so
   many requests overlap in flight while the per-node ordering the
@@ -45,7 +47,7 @@ from __future__ import annotations
 import asyncio
 import sys
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import BinaryIO, Sequence, Union
 
 #: Frame length prefix: 4 bytes, big-endian, body length only.
 LENGTH_BYTES = 4
@@ -93,23 +95,17 @@ def encode_frame(body: bytes) -> bytes:
     return len(body).to_bytes(LENGTH_BYTES, "big") + body
 
 
-async def read_frame(reader: asyncio.StreamReader,
-                     max_frame: int = MAX_FRAME_BYTES) -> bytes | None:
-    """Read one whole frame body; ``None`` on clean EOF at a boundary.
-
-    Raises :class:`RpcProtocolError` for a truncated length prefix, a
-    length prefix beyond ``max_frame`` (before reading the body, so a
-    hostile prefix cannot force an allocation), an empty frame, or EOF
-    mid-body -- the partial bytes are never delivered.
-    """
-    try:
-        header = await reader.readexactly(LENGTH_BYTES)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
+def _body_length(header: bytes, max_frame: int) -> int | None:
+    """The body length a prefix announces; ``None`` if ``header`` is
+    empty (clean EOF at a frame boundary).  Both readers check every
+    prefix here, before reading the body, so a hostile prefix cannot
+    force an allocation."""
+    if not header:
+        return None
+    if len(header) < LENGTH_BYTES:
         raise RpcProtocolError(
-            f"peer closed mid-prefix ({len(exc.partial)} of "
-            f"{LENGTH_BYTES} length bytes)") from None
+            f"peer closed mid-prefix ({len(header)} of "
+            f"{LENGTH_BYTES} length bytes)")
     length = int.from_bytes(header, "big")
     if length == 0:
         raise RpcProtocolError("zero-length frame")
@@ -117,12 +113,33 @@ async def read_frame(reader: asyncio.StreamReader,
         raise RpcProtocolError(
             f"length prefix {length} exceeds the {max_frame}-byte frame "
             "ceiling")
-    try:
-        return await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
+    return length
+
+
+def _whole_body(body: bytes, length: int) -> bytes:
+    """``body``, unless EOF cut it short: partial bytes never pass."""
+    if len(body) < length:
         raise RpcProtocolError(
-            f"peer closed mid-frame ({len(exc.partial)} of {length} "
-            "body bytes)") from None
+            f"peer closed mid-frame ({len(body)} of {length} body bytes)")
+    return body
+
+
+async def read_frame(reader: asyncio.StreamReader,
+                     max_frame: int = MAX_FRAME_BYTES) -> bytes | None:
+    """Read one whole frame body; ``None`` on clean EOF at a boundary.
+    A bad prefix or EOF mid-body raises :class:`RpcProtocolError`."""
+    try:
+        header = await reader.readexactly(LENGTH_BYTES)
+    except asyncio.IncompleteReadError as exc:
+        header = exc.partial
+    length = _body_length(header, max_frame)
+    if length is None:
+        return None
+    try:
+        body = await reader.readexactly(length)
+    except asyncio.IncompleteReadError as exc:
+        body = exc.partial
+    return _whole_body(body, length)
 
 
 #: Bytes of a request body before its stripe list: opcode, key length,
@@ -456,51 +473,30 @@ class ChunkServer:
         return encode_response(STATUS_ERR, f"opcode {op}".encode()), True
 
 
-async def _stdio_streams() -> tuple[asyncio.StreamReader,
-                                    asyncio.StreamWriter]:
-    loop = asyncio.get_running_loop()
-    reader = asyncio.StreamReader()
-    await loop.connect_read_pipe(
-        lambda: asyncio.StreamReaderProtocol(reader), sys.stdin.buffer)
-    transport, protocol = await loop.connect_write_pipe(
-        asyncio.streams.FlowControlMixin, sys.stdout.buffer)
-    writer = asyncio.StreamWriter(transport, protocol, reader, loop)
-    return reader, writer
-
-
-async def serve(reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
-                max_frame: int = MAX_FRAME_BYTES) -> None:
+def serve(reader: BinaryIO, writer: BinaryIO,
+          max_frame: int = MAX_FRAME_BYTES) -> None:
     """Serve one connection until EOF, shutdown or a protocol error.
 
-    A protocol error answers ``ERR`` (when the pipe still works) and
-    stops serving: after a framing failure the stream offset can no
-    longer be trusted, so continuing would risk delivering torn data.
+    A protocol error is answered ``ERR`` and stops serving: after a
+    framing failure the stream offset can no longer be trusted, so
+    continuing would risk delivering torn data.  Each answer is
+    flushed at once (coalescing answers measured slower).
     """
     server = ChunkServer()
     while True:
         try:
-            body = await read_frame(reader, max_frame)
-        except RpcProtocolError as exc:
-            writer.write(encode_frame(encode_response(
-                STATUS_ERR, str(exc).encode())))
-            await writer.drain()
-            return
-        if body is None:
-            return
-        try:
+            length = _body_length(reader.read(LENGTH_BYTES), max_frame)
+            if length is None:
+                return
+            body = _whole_body(reader.read(length), length)
             response, keep_serving = server.handle(*decode_request(body))
         except RpcProtocolError as exc:
             response, keep_serving = encode_response(
                 STATUS_ERR, str(exc).encode()), False
         writer.write(encode_frame(response))
-        await writer.drain()
+        writer.flush()
         if not keep_serving:
             return
-
-
-async def _amain(max_frame: int) -> None:
-    reader, writer = await _stdio_streams()
-    await serve(reader, writer, max_frame)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -514,7 +510,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-frame-bytes", type=int,
                         default=MAX_FRAME_BYTES)
     args = parser.parse_args(argv)
-    asyncio.run(_amain(args.max_frame_bytes))
+    try:
+        serve(sys.stdin.buffer, sys.stdout.buffer, args.max_frame_bytes)
+    except BrokenPipeError:
+        # The client closed its end first: nobody is left to answer.
+        pass
     return 0
 
 

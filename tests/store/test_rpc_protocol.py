@@ -8,7 +8,11 @@ loop is seeded (``np.random.default_rng``), so failures replay.
 """
 
 import asyncio
+import contextlib
+import io
 import socket
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -49,6 +53,32 @@ def fed_reader(*chunks: bytes, eof: bool = True) -> asyncio.StreamReader:
     if eof:
         reader.feed_eof()
     return reader
+
+
+def serve_bytes(stream: bytes, max_frame: int = rpc.MAX_FRAME_BYTES
+                ) -> tuple[list[bytes], io.BytesIO]:
+    """Run the blocking server over ``stream`` to completion; returns
+    its reply bodies and the (consumed) input."""
+    inp, out = io.BytesIO(stream), io.BytesIO()
+    serve(inp, out, max_frame)
+
+    async def replies():
+        reader, bodies = fed_reader(out.getvalue()), []
+        while (body := await read_frame(reader, max_frame)) is not None:
+            bodies.append(body)
+        return bodies
+
+    return run(replies()), inp
+
+
+@contextlib.asynccontextmanager
+async def real_server():
+    """An :class:`RpcClient` talking to a real chunk-server subprocess."""
+    transport = await ProcessTransport.spawn()
+    try:
+        yield transport.client
+    finally:
+        await transport.aclose()
 
 
 async def stream_pair():
@@ -196,22 +226,12 @@ def test_corrupted_batch_bodies_are_answered_err():
         with pytest.raises(RpcProtocolError, match=message):
             decode_request(body)
 
-    async def flow(body):
-        (client_r, client_w), (server_r, server_w) = await stream_pair()
-        task = asyncio.create_task(serve(server_r, server_w))
-        client_w.write(encode_frame(body))
-        client_w.write(encode_frame(
-            Request(rpc.OP_GET, "k", (0,)).encode(b"")))
-        await task             # the corrupt frame stops the server
-        server_w.write_eof()
-        status, _ = decode_response(await read_frame(client_r))
-        assert status == rpc.STATUS_ERR
-        assert await read_frame(client_r) is None  # nothing after it
-        client_w.close()
-        server_w.close()
-
+    get = encode_frame(Request(rpc.OP_GET, "k", (0,)).encode(b""))
     for body, _ in cases:
-        run(flow(body))
+        # The corrupt frame stops the server: one ERR, nothing after it.
+        replies, _ = serve_bytes(encode_frame(body) + get)
+        assert [decode_response(reply)[0] for reply in replies] \
+            == [rpc.STATUS_ERR]
     with pytest.raises(RpcProtocolError, match="carries no payload"):
         decode_request(Request(rpc.OP_GET, "k", (0,)).encode(b"junk"))
 
@@ -268,57 +288,40 @@ def test_oversized_key_is_refused():
 # --------------------------------------------------------------------------- #
 def test_server_survives_fuzzed_garbage_without_hanging():
     """Feed the server random garbage streams: it must terminate (error
-    reply or EOF) within the timeout and every reply it does send must
-    itself be a well-formed frame."""
+    reply or EOF) and every reply it does send must itself be a
+    well-formed frame."""
     rng = np.random.default_rng(31)
-
-    async def one_round(garbage: bytes) -> None:
-        (client_r, client_w), (server_r, server_w) = await stream_pair()
-        task = asyncio.create_task(serve(server_r, server_w,
-                                         max_frame=4096))
-        client_w.write(garbage)
-        client_w.write_eof()
-        await task             # the server must terminate on its own
-        server_w.write_eof()   # then replies end in a clean EOF
-        while True:  # every reply frame must decode cleanly
-            try:
-                body = await read_frame(client_r, 4096)
-            except RpcProtocolError:
-                pytest.fail("server sent a torn frame")
-            if body is None:
-                break
-            decode_response(body)
-        client_w.close()
-        server_w.close()
-
-    async def flow():
-        for _ in range(25):
-            await one_round(rng.bytes(int(rng.integers(1, 200))))
-
-    run(flow())
+    for _ in range(25):
+        garbage = rng.bytes(int(rng.integers(1, 200)))
+        try:
+            replies, _ = serve_bytes(garbage, max_frame=4096)
+        except RpcProtocolError:
+            pytest.fail("server sent a torn frame")
+        for reply in replies:  # every reply frame must decode cleanly
+            decode_response(reply)
 
 
 def test_server_stops_after_a_framing_error_with_an_err_reply():
-    async def flow():
-        (client_r, client_w), (server_r, server_w) = await stream_pair()
-        task = asyncio.create_task(serve(server_r, server_w))
-        # A valid put, then a frame that dies mid-body.
-        put = Request(rpc.OP_PUT, "k", (0,), pack_parts([b"data"]))
-        client_w.write(encode_frame(put.encode(put.payload)))
-        client_w.write(encode_frame(b"x" * 50)[:20])
-        client_w.write_eof()
-        await task             # framing error stops the server
-        server_w.write_eof()
-        assert decode_response(await read_frame(client_r)) \
-            == (rpc.STATUS_OK, b"")
-        status, message = decode_response(await read_frame(client_r))
-        assert status == rpc.STATUS_ERR
-        assert b"mid-frame" in message
-        assert await read_frame(client_r) is None  # server hung up
-        client_w.close()
-        server_w.close()
+    # A valid put, then a frame that dies mid-body.
+    put = Request(rpc.OP_PUT, "k", (0,), pack_parts([b"data"]))
+    replies, _ = serve_bytes(encode_frame(put.encode(put.payload))
+                             + encode_frame(b"x" * 50)[:20])
+    assert decode_response(replies[0]) == (rpc.STATUS_OK, b"")
+    status, message = decode_response(replies[1])
+    assert status == rpc.STATUS_ERR
+    assert b"mid-frame" in message
+    assert len(replies) == 2  # server hung up
 
-    run(flow())
+
+def test_server_refuses_an_oversized_prefix_before_the_body():
+    """A 4 GiB length prefix is answered with one ERR naming the
+    ceiling; the server stops without reading a byte of the body."""
+    replies, inp = serve_bytes(b"\xff\xff\xff\xff" + b"x" * 100)
+    assert len(replies) == 1
+    status, message = decode_response(replies[0])
+    assert status == rpc.STATUS_ERR
+    assert b"ceiling" in message
+    assert inp.tell() == rpc.LENGTH_BYTES
 
 
 # --------------------------------------------------------------------------- #
@@ -374,22 +377,17 @@ def test_chunk_server_put_get_delete_crash_restore():
 # --------------------------------------------------------------------------- #
 def test_client_pipelines_and_matches_responses_fifo():
     async def flow():
-        (client_r, client_w), (server_r, server_w) = await stream_pair()
-        task = asyncio.create_task(serve(server_r, server_w))
-        client = RpcClient(client_r, client_w)
-        puts = [client.call(Request(rpc.OP_PUT, f"k{i}", (i,),
-                                    pack_parts([bytes([i]) * 8])))
-                for i in range(32)]
-        gets = [client.call(Request(rpc.OP_GET, f"k{i}", (i,)))
-                for i in range(32)]
-        for put in puts:
-            assert await put == (rpc.STATUS_OK, b"")
-        for i, get in enumerate(gets):
-            assert await get == (rpc.STATUS_OK,
-                                 pack_parts([bytes([i]) * 8]))
-        await client.aclose()
-        server_w.close()
-        await task
+        async with real_server() as client:
+            puts = [client.call(Request(rpc.OP_PUT, f"k{i}", (i,),
+                                        pack_parts([bytes([i]) * 8])))
+                    for i in range(32)]
+            gets = [client.call(Request(rpc.OP_GET, f"k{i}", (i,)))
+                    for i in range(32)]
+            for put in puts:
+                assert await put == (rpc.STATUS_OK, b"")
+            for i, get in enumerate(gets):
+                assert await get == (rpc.STATUS_OK,
+                                     pack_parts([bytes([i]) * 8]))
 
     run(flow())
 
@@ -398,19 +396,14 @@ def test_deferred_payload_future_preserves_frame_order():
     """A put whose bytes do not exist yet must still hold its place in
     the outbox: the following get (enqueued later) sees the bytes."""
     async def flow():
-        (client_r, client_w), (server_r, server_w) = await stream_pair()
-        task = asyncio.create_task(serve(server_r, server_w))
-        client = RpcClient(client_r, client_w)
-        pending = asyncio.get_running_loop().create_future()
-        put = client.call(Request(rpc.OP_PUT, "late", (0,), pending))
-        get = client.call(Request(rpc.OP_GET, "late", (0,)))
-        await asyncio.sleep(0.01)  # let the write loop block on it
-        pending.set_result(pack_parts([b"finally"]))
-        assert await put == (rpc.STATUS_OK, b"")
-        assert await get == (rpc.STATUS_OK, pack_parts([b"finally"]))
-        await client.aclose()
-        server_w.close()
-        await task
+        async with real_server() as client:
+            pending = asyncio.get_running_loop().create_future()
+            put = client.call(Request(rpc.OP_PUT, "late", (0,), pending))
+            get = client.call(Request(rpc.OP_GET, "late", (0,)))
+            await asyncio.sleep(0.01)  # let the write loop block on it
+            pending.set_result(pack_parts([b"finally"]))
+            assert await put == (rpc.STATUS_OK, b"")
+            assert await get == (rpc.STATUS_OK, pack_parts([b"finally"]))
 
     run(flow())
 
@@ -420,28 +413,23 @@ def test_failed_deferred_payload_fails_only_its_call():
     dropped rather than left stale, and every later call still gets its
     own answer."""
     async def flow():
-        (client_r, client_w), (server_r, server_w) = await stream_pair()
-        task = asyncio.create_task(serve(server_r, server_w))
-        client = RpcClient(client_r, client_w)
-        assert await client.call(Request(
-            rpc.OP_PUT, "k", (0,), pack_parts([b"stale"]))) \
-            == (rpc.STATUS_OK, b"")
-        pending = asyncio.get_running_loop().create_future()
-        put = client.call(Request(rpc.OP_PUT, "k", (0,), pending))
-        get = client.call(Request(rpc.OP_GET, "k", (0,)))
-        other = client.call(Request(rpc.OP_PUT, "x", (1,),
-                                    pack_parts([b"fresh"])))
-        await asyncio.sleep(0.01)  # let the write loop block on it
-        pending.set_exception(RuntimeError("rebuild exploded"))
-        with pytest.raises(RuntimeError, match="rebuild exploded"):
-            await put
-        assert await get == (rpc.STATUS_MISSING, b"")
-        assert await other == (rpc.STATUS_OK, b"")
-        assert await client.call(Request(rpc.OP_GET, "x", (1,))) \
-            == (rpc.STATUS_OK, pack_parts([b"fresh"]))
-        await client.aclose()
-        server_w.close()
-        await task
+        async with real_server() as client:
+            assert await client.call(Request(
+                rpc.OP_PUT, "k", (0,), pack_parts([b"stale"]))) \
+                == (rpc.STATUS_OK, b"")
+            pending = asyncio.get_running_loop().create_future()
+            put = client.call(Request(rpc.OP_PUT, "k", (0,), pending))
+            get = client.call(Request(rpc.OP_GET, "k", (0,)))
+            other = client.call(Request(rpc.OP_PUT, "x", (1,),
+                                        pack_parts([b"fresh"])))
+            await asyncio.sleep(0.01)  # let the write loop block on it
+            pending.set_exception(RuntimeError("rebuild exploded"))
+            with pytest.raises(RuntimeError, match="rebuild exploded"):
+                await put
+            assert await get == (rpc.STATUS_MISSING, b"")
+            assert await other == (rpc.STATUS_OK, b"")
+            assert await client.call(Request(rpc.OP_GET, "x", (1,))) \
+                == (rpc.STATUS_OK, pack_parts([b"fresh"]))
 
     run(flow())
 
@@ -588,3 +576,50 @@ def test_process_cluster_sends_one_frame_per_node_per_object():
                        for frames in sent for request in frames)
 
     run(flow())
+
+
+def _server_process(*args: str) -> subprocess.Popen:
+    """The chunk server run as a bare script, as ProcessTransport does."""
+    return subprocess.Popen([sys.executable, *args, rpc.__file__],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+
+
+PUT_FRAME = encode_frame(Request(rpc.OP_PUT, "k", (0,), b"").encode(
+    pack_parts([b"chunk"])))
+
+
+def test_server_exits_cleanly_when_stdin_closes():
+    process = _server_process()
+    out, err = process.communicate(PUT_FRAME, timeout=TIMEOUT_S)
+    assert process.returncode == 0
+    assert err == b""
+    assert out == encode_frame(encode_response(rpc.STATUS_OK))
+
+
+def test_server_exits_quietly_when_the_client_stops_reading():
+    """Closing the client's read end before the server answers breaks
+    the server's pipe: it exits without a traceback."""
+    process = _server_process()
+    process.stdout.close()
+    process.stdin.write(PUT_FRAME)
+    process.stdin.close()
+    try:
+        assert process.wait(timeout=TIMEOUT_S) == 0
+        assert process.stderr.read() == b""
+    finally:
+        process.kill()
+        process.stderr.close()
+
+
+def test_server_script_imports_neither_numpy_nor_the_package():
+    """Node subprocesses start fast because the script is stdlib-only."""
+    process = _server_process("-X", "importtime")
+    _, err = process.communicate(b"", timeout=TIMEOUT_S)
+    assert process.returncode == 0
+    imported = [line.rsplit("|", 1)[-1].strip()
+                for line in err.decode().splitlines()
+                if line.startswith("import time:")]
+    assert "asyncio" in imported  # the listing was parsed
+    assert not [name for name in imported
+                if name.split(".")[0] in ("numpy", "repro")]
