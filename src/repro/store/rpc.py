@@ -45,6 +45,7 @@ Usage (client side)::
 from __future__ import annotations
 
 import asyncio
+import os
 import sys
 from dataclasses import dataclass
 from typing import BinaryIO, Sequence, Union
@@ -477,10 +478,9 @@ def serve(reader: BinaryIO, writer: BinaryIO,
           max_frame: int = MAX_FRAME_BYTES) -> None:
     """Serve one connection until EOF, shutdown or a protocol error.
 
-    A protocol error is answered ``ERR`` and stops serving: after a
-    framing failure the stream offset can no longer be trusted, so
-    continuing would risk delivering torn data.  Each answer is
-    flushed at once (coalescing answers measured slower).
+    A protocol error is answered ``ERR`` and stops serving: the stream
+    offset can no longer be trusted, so going on would risk torn data.
+    Each answer is flushed at once (coalescing answers measured slower).
     """
     server = ChunkServer()
     while True:
@@ -513,8 +513,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         serve(sys.stdin.buffer, sys.stdout.buffer, args.max_frame_bytes)
     except BrokenPipeError:
-        # The client closed its end first: nobody is left to answer.
-        pass
+        # The client stopped reading: send stdout's shutdown flush to null.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 
